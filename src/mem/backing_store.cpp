@@ -4,26 +4,6 @@
 
 namespace suvtm::mem {
 
-BackingStore::Page& BackingStore::page_for_slow(Addr a) {
-  const std::uint64_t id = page_of(a);
-  auto [it, inserted] = pages_.try_emplace(id);
-  if (inserted) it->second = std::make_unique<Page>();
-  const std::size_t s = slot_of(id);
-  cached_ids_[s] = id;
-  cached_pages_[s] = it->second.get();
-  return *cached_pages_[s];
-}
-
-const BackingStore::Page* BackingStore::page_for_const_slow(Addr a) const {
-  const std::uint64_t id = page_of(a);
-  auto it = pages_.find(id);
-  if (it == pages_.end()) return nullptr;
-  const std::size_t s = slot_of(id);
-  cached_ids_[s] = id;
-  cached_pages_[s] = it->second.get();
-  return cached_pages_[s];
-}
-
 void BackingStore::copy_line(LineAddr src_line, LineAddr dst_line) {
   if (src_line == dst_line) return;
   const Addr src = addr_of_line(src_line);
@@ -31,8 +11,8 @@ void BackingStore::copy_line(LineAddr src_line, LineAddr dst_line) {
   // One lookup per side instead of one per word. Take the source pointer
   // first: creating the destination page may grow the map, but the source
   // Page itself lives on the heap and stays put.
-  const Page* sp = page_for_const(src);
-  Page& dp = page_for(dst);
+  const Page* sp = pages_.find(page_of(src));
+  Page& dp = pages_.get(page_of(dst));
   std::uint64_t* d = dp.data() + (dst % kPageBytes) / kWordBytes;
   if (!sp) {
     std::fill_n(d, kWordsPerLine, 0);

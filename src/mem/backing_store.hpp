@@ -3,24 +3,14 @@
 // The simulator is functional as well as timing-approximate: workloads store
 // real 64-bit values so that transactional isolation/atomicity invariants can
 // be tested (and SUV's redirection machinery verified end-to-end, not just
-// timed). Storage is paged and allocated lazily; untouched memory reads 0.
-//
-// Pages are keyed in a flat open-addressing map, fronted by a small
-// direct-mapped cache of recently touched pages: consecutive words on one
-// page (the overwhelmingly common access pattern -- undo-log walks, line
-// copies, sequential workload data) skip the map entirely, and the cache is
-// wide enough that many cores interleaving accesses to disjoint working
-// sets do not evict each other every round. Page payloads are
-// heap-allocated, so cached pointers survive map growth.
+// timed). Storage is paged and allocated lazily (common/paged_store.hpp);
+// untouched memory reads 0.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "common/flat_hash.hpp"
+#include "common/paged_store.hpp"
 #include "common/types.hpp"
 
 namespace suvtm::mem {
@@ -28,17 +18,17 @@ namespace suvtm::mem {
 class BackingStore {
  public:
   /// Read the aligned 64-bit word containing `a`. Inline: every simulated
-  /// load/store lands here, and the last-page fast path is a compare plus
-  /// an indexed read.
+  /// load/store lands here, and the cached-page hit is a compare plus an
+  /// indexed read.
   std::uint64_t load(Addr a) const {
-    const Page* p = page_for_const(a);
+    const Page* p = pages_.find(page_of(a));
     if (!p) return 0;
     return (*p)[(a % kPageBytes) / kWordBytes];
   }
 
   /// Write the aligned 64-bit word containing `a`.
   void store(Addr a, std::uint64_t v) {
-    page_for(a)[(a % kPageBytes) / kWordBytes] = v;
+    pages_.get(page_of(a))[(a % kPageBytes) / kWordBytes] = v;
   }
 
   /// Copy one 64-byte line worth of words from `src_line` to `dst_line`.
@@ -52,59 +42,24 @@ class BackingStore {
   /// page was never touched). The checker's image snapshot and sweeps use
   /// it so a 512-word page costs one map probe instead of 512 loads.
   const std::uint64_t* page_words(std::uint64_t page_id) const {
-    const Page* p = page_for_const(page_id * kPageBytes);
+    const Page* p = pages_.find(page_id);
     return p ? p->data() : nullptr;
   }
 
   /// Visit the page index of every allocated page (the word at byte address
   /// `id * kPageBytes + i * kWordBytes` is readable via load), in ascending
   /// page order. Used by the checker's full-image sweeps; pages are never
-  /// freed. The sorted drain is load-bearing: the sweeps cap how many
-  /// violations they report, so visiting in FlatMap hash order would make
-  /// *which* violations surface a function of the map's hash/capacity
-  /// policy instead of simulated state (suvlint: nondet-iteration).
+  /// freed.
   template <class Fn>
   void for_each_page_id(Fn&& fn) const {
-    std::vector<std::uint64_t> ids;
-    ids.reserve(pages_.size());
-    // lint: allow(nondet-iteration): order laundered by the sort below
-    for (const auto& kv : pages_) ids.push_back(kv.first);
-    std::sort(ids.begin(), ids.end());
-    for (std::uint64_t id : ids) fn(id);
+    pages_.for_each_sorted([&](std::uint64_t id, const Page&) { fn(id); });
   }
 
  private:
   static constexpr std::size_t kWordsPerPage = kPageBytes / kWordBytes;
   using Page = std::array<std::uint64_t, kWordsPerPage>;
 
-  static constexpr std::size_t kCacheSlots = 64;  // power of 2
-
-  // Contiguous page ids map to distinct slots; the XOR folds higher bits in
-  // so same-low-bits pages from different regions don't all collide.
-  static std::size_t slot_of(std::uint64_t id) {
-    return static_cast<std::size_t>(id ^ (id >> 6)) & (kCacheSlots - 1);
-  }
-
-  Page& page_for(Addr a) {
-    const std::uint64_t id = page_of(a);
-    const std::size_t s = slot_of(id);
-    if (cached_pages_[s] && cached_ids_[s] == id) return *cached_pages_[s];
-    return page_for_slow(a);
-  }
-  const Page* page_for_const(Addr a) const {
-    const std::uint64_t id = page_of(a);
-    const std::size_t s = slot_of(id);
-    if (cached_pages_[s] && cached_ids_[s] == id) return cached_pages_[s];
-    return page_for_const_slow(a);
-  }
-  Page& page_for_slow(Addr a);
-  const Page* page_for_const_slow(Addr a) const;
-
-  FlatMap<std::uint64_t, std::unique_ptr<Page>> pages_;
-  // Direct-mapped page cache; pages are never freed, so entries can only
-  // go stale by pointing at pages that are still valid.
-  mutable std::array<std::uint64_t, kCacheSlots> cached_ids_{};
-  mutable std::array<Page*, kCacheSlots> cached_pages_{};
+  PagedStore<Page> pages_;
 };
 
 }  // namespace suvtm::mem

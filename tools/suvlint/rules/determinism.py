@@ -37,8 +37,8 @@ from engine import Rule
 
 # Result-affecting trees: everything a simulated event, checker verdict,
 # trace byte or metrics value flows through.
-DET_DIRS = ("src/sim", "src/htm", "src/suv", "src/mem", "src/obs",
-            "src/check", "src/stamp")
+DET_DIRS = ("src/common", "src/sim", "src/htm", "src/suv", "src/mem",
+            "src/obs", "src/check", "src/stamp")
 
 _LAST_IDENT_RE = re.compile(
     r"([A-Za-z_]\w*)\s*(?:\([^()]*\)|\[[^\[\]]*\])?\s*$")
