@@ -48,15 +48,6 @@ class Recorder {
     sample_countdown_ -= static_cast<std::uint32_t>(n);
   }
 
-  /// A fast-path event completed without a scheduler round trip; it still
-  /// advances the sampler deadline (the cycle cache is already current).
-  void on_inline_event() {
-    if (--sample_countdown_ == 0) {
-      sample_countdown_ = sample_interval_;
-      if (sampler_) sampler_(metrics_, now_);
-    }
-  }
-
   // ---- sim/thread_context: txn lifecycle ----------------------------------
   void on_txn_begin(CoreId c, Cycle t, std::uint32_t site,
                     std::uint64_t attempt);

@@ -34,11 +34,8 @@ void Barrier::release_all() {
   std::vector<Pending> ready;
   ready.swap(waiting_);
   for (auto& p : ready) {
-    // arrived_at may sit ahead of the scheduler clock when the arriver came
-    // in on the fast path (ThreadContext folds its run-ahead into the
-    // recorded arrival time); such a core simply did not wait.
-    p.waiter->waited =
-        now > p.waiter->arrived_at ? now - p.waiter->arrived_at : 0;
+    assert(p.waiter->arrived_at <= now);
+    p.waiter->waited = now - p.waiter->arrived_at;
     sched_.resume_after(1, p.h);
   }
 }

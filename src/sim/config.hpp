@@ -234,13 +234,6 @@ struct SimConfig {
   std::uint64_t seed = 1;
   /// Safety valve: abort the simulation if it exceeds this many cycles.
   Cycle max_cycles = 5'000'000'000ull;
-  /// Non-transactional fast path: a core executing straight-line
-  /// non-transactional L1 hits (and short compute) may run up to this many
-  /// cycles ahead of the scheduler before synchronizing back through it.
-  /// The run-ahead is flushed at misses, stalls, transaction boundaries,
-  /// barriers and backoff, so global event order stays deterministic.
-  /// 0 disables the fast path entirely.
-  Cycle fastpath_quantum = 64;
 };
 
 }  // namespace suvtm::sim

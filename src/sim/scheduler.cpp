@@ -15,8 +15,6 @@ void Scheduler::throw_scheduled_into_past(Cycle t) const {
       "); the calendar queue would mis-bucket it a full window late");
 }
 
-void Scheduler::obs_inline_event() { obs_->on_inline_event(); }
-
 bool Scheduler::run(Cycle limit) {
   while (pending_ > 0) {
     if (window_count_ == 0) {

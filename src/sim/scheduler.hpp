@@ -104,16 +104,6 @@ class Scheduler {
   /// Returns false if the limit was hit with events still pending.
   bool run(Cycle limit);
 
-  /// Account for a simulated event completed inline by the fast path
-  /// (thread_context.cpp) without a queue round trip: it still counts
-  /// toward events_processed() and the observability sampler deadline.
-  void count_inline_event() {
-    ++events_;
-#if defined(SUVTM_OBS_ENABLED) && SUVTM_OBS_ENABLED
-    if (obs_) obs_inline_event();
-#endif
-  }
-
   std::size_t pending() const { return pending_; }
   std::uint64_t events_processed() const { return events_; }
 
@@ -156,10 +146,6 @@ class Scheduler {
     (void)t;
   }
   [[noreturn]] void throw_scheduled_into_past(Cycle t) const;
-
-  /// Out-of-line sampler tick for inline events (keeps this header free of
-  /// the full Recorder definition).
-  void obs_inline_event();
 
   void push(Cycle t, std::uint64_t payload) {
     ++seq_;

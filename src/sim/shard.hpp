@@ -71,7 +71,7 @@ struct ShardMap {
 struct RemoteMsg {
   CoreId core = kNoCore;
   Addr addr = 0;
-  Cycle post_cycle = 0;  // sender-domain clock (incl. fast-path skew)
+  Cycle post_cycle = 0;  // sender-domain clock at the post
   std::coroutine_handle<> h{};
   ThreadContext::MemAwaiter* aw = nullptr;
 };

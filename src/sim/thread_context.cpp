@@ -57,7 +57,7 @@ void ThreadContext::start_abort(bool* aborted, std::coroutine_handle<> h) {
   });
 }
 
-bool ThreadContext::issue_remote(MemAwaiter& aw, std::coroutine_handle<> h,
+void ThreadContext::issue_remote(MemAwaiter& aw, std::coroutine_handle<> h,
                                  std::uint32_t owner) {
   // The sharded-machine purity contract (sim/config.hpp PdesParams):
   // transactions, stores and RMWs stay shard-local; only non-transactional
@@ -70,18 +70,17 @@ bool ThreadContext::issue_remote(MemAwaiter& aw, std::coroutine_handle<> h,
         "cross shards (core accessed a foreign shard's address from a "
         "transaction, store, or RMW)");
   }
-  // The request leaves at the core's logical clock (scheduler time plus any
-  // fast-path run-ahead); a cross-shard miss is a synchronization point.
-  RemoteMsg m{core_, aw.addr, sched_.now() + skew_, h, &aw};
-  skew_ = 0;
+  RemoteMsg m{core_, aw.addr, sched_.now(), h, &aw};
   port_->boxes->post(port_->shard, owner, m);
-  return true;
 }
 
-bool ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
+void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
   if (port_ != nullptr) [[unlikely]] {
     const std::uint32_t owner = port_->map->shard_of_addr(aw.addr);
-    if (owner != port_->shard) return issue_remote(aw, h, owner);
+    if (owner != port_->shard) {
+      issue_remote(aw, h, owner);
+      return;
+    }
   }
 
   htm::Txn& t = txn();
@@ -89,7 +88,7 @@ bool ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
 
   if (tx && t.doomed) {
     start_abort(&aw.aborted, h);
-    return true;
+    return;
   }
 
   const LineAddr line = line_of(aw.addr);
@@ -106,21 +105,15 @@ bool ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
   if (dec.action == htm::ConflictManager::Action::kAbortSelf) {
     htm_.doom(core_, dec.victim_cause);
     start_abort(&aw.aborted, h);
-    return true;
+    return;
   }
   if (dec.action == htm::ConflictManager::Action::kStall) {
     const Cycle w = cfg_.htm.stall_retry_interval;
     if (tx) attempt_.add_stalled(w);
     else breakdown_.add(Bucket::kNoTrans, w);
     SUVTM_OBS_HOOK(obs_, on_stall(core_, sched_.now(), dec.holder, line, w));
-    // A stall is a synchronization point: flush any fast-path run-ahead
-    // into the retry delay. The coroutine is already suspended when the
-    // retry fires, so a fast-path completion there resumes it directly.
-    sched_.after(skew_ + w, [this, &aw, h] {
-      if (!issue_mem(aw, h)) h.resume();
-    });
-    skew_ = 0;
-    return true;
+    sched_.after(w, [this, &aw, h] { issue_mem(aw, h); });
+    return;
   }
 
   // Access granted: version-management bookkeeping, then the timed access.
@@ -174,7 +167,7 @@ bool ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
           const Cycle lat = cfg_.mem.l1_latency + act.extra;
           attempt_.add_trans(lat);
           sched_.resume_after(lat, h);
-          return true;
+          return;
         }
         target = act.target;
         extra = act.extra;
@@ -197,7 +190,7 @@ bool ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
     const Cycle lat = cfg_.mem.l1_latency + extra;
     attempt_.add_trans(lat);
     sched_.resume_after(lat, h);
-    return true;
+    return;
   }
 
   const mem::AccessOutcome out =
@@ -222,29 +215,9 @@ bool ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
   // Table-probe cycles ride the coherence request on a data-cache miss
   // (SUV piggybacks redirection resolution); they only cost time on a hit.
   const Cycle lat = out.latency + extra + (out.l1_hit ? extra_if_l1_hit : 0);
-  if (tx) {
-    attempt_.add_trans(lat);
-    sched_.resume_after(lat, h);
-    return true;
-  }
-  breakdown_.add(Bucket::kNoTrans, lat);
-
-  // Non-transactional fast path: a straight-line L1 hit holds no one up --
-  // no coherence traffic, no conflict, no eviction -- so completing it
-  // inline (await_suspend returns false) skips the scheduler round trip
-  // entirely. The core runs up to fastpath_quantum cycles ahead (skew_);
-  // every other path through this file flushes the skew back into its next
-  // scheduled delay, so dispatch stays deterministic.
-  const Cycle quantum = cfg_.fastpath_quantum;
-  if (quantum != 0 && out.l1_hit && !out.evicted_speculative &&
-      skew_ + lat <= quantum) {
-    skew_ += lat;
-    sched_.count_inline_event();
-    return false;
-  }
-  sched_.resume_after(skew_ + lat, h);
-  skew_ = 0;
-  return true;
+  if (tx) attempt_.add_trans(lat);
+  else breakdown_.add(Bucket::kNoTrans, lat);
+  sched_.resume_after(lat, h);
 }
 
 void ThreadContext::issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h) {
@@ -275,10 +248,7 @@ void ThreadContext::issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h) {
   SUVTM_OBS_HOOK(obs_, on_txn_begin(core_, sched_.now(), t.site, t.attempts));
   const Cycle cost = cfg_.htm.checkpoint_latency + htm_.vm().on_begin(t);
   attempt_.add_trans(cost);
-  // Transaction boundaries synchronize the fast path: fold any run-ahead
-  // into the begin latency so the body starts at the logically right cycle.
-  sched_.resume_after(skew_ + cost, h);
-  skew_ = 0;
+  sched_.resume_after(cost, h);
 }
 
 void ThreadContext::issue_commit(CommitAwaiter& aw, std::coroutine_handle<> h) {
@@ -359,25 +329,11 @@ void ThreadContext::issue_rollback_inner(RollbackInnerAwaiter& aw,
   sched_.resume_after(cost, h);
 }
 
-bool ThreadContext::issue_compute(ComputeAwaiter& aw,
+void ThreadContext::issue_compute(ComputeAwaiter& aw,
                                   std::coroutine_handle<> h) {
-  if (in_tx()) {
-    attempt_.add_trans(aw.cycles);
-    sched_.resume_after(aw.cycles, h);
-    return true;
-  }
-  breakdown_.add(Bucket::kNoTrans, aw.cycles);
-  // Short non-transactional compute joins the fast path: it touches no
-  // shared state at all, so there is nothing to synchronize with.
-  const Cycle quantum = cfg_.fastpath_quantum;
-  if (quantum != 0 && skew_ + aw.cycles <= quantum) {
-    skew_ += aw.cycles;
-    sched_.count_inline_event();
-    return false;
-  }
-  sched_.resume_after(skew_ + aw.cycles, h);
-  skew_ = 0;
-  return true;
+  if (in_tx()) attempt_.add_trans(aw.cycles);
+  else breakdown_.add(Bucket::kNoTrans, aw.cycles);
+  sched_.resume_after(aw.cycles, h);
 }
 
 void ThreadContext::issue_backoff(BackoffAwaiter&, std::coroutine_handle<> h) {
@@ -389,8 +345,7 @@ void ThreadContext::issue_backoff(BackoffAwaiter&, std::coroutine_handle<> h) {
   const Cycle wait = rng_.range(p.backoff_base, std::max<Cycle>(p.backoff_base, ceiling));
   breakdown_.add(Bucket::kBackoff, wait);
   SUVTM_OBS_HOOK(obs_, on_backoff(core_, sched_.now(), wait));
-  sched_.resume_after(skew_ + wait, h);
-  skew_ = 0;
+  sched_.resume_after(wait, h);
 }
 
 }  // namespace suvtm::sim

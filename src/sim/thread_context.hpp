@@ -55,11 +55,7 @@ class ThreadContext {
     bool aborted = false;
 
     bool await_ready() const noexcept { return false; }
-    /// Returns false (continue without suspending) when the access completed
-    /// on the non-transactional fast path -- see issue_mem.
-    bool await_suspend(std::coroutine_handle<> h) {
-      return tc.issue_mem(*this, h);
-    }
+    void await_suspend(std::coroutine_handle<> h) { tc.issue_mem(*this, h); }
     std::uint64_t await_resume() const {
       if (aborted) throw TxAbort{};
       return value;
@@ -88,8 +84,8 @@ class ThreadContext {
     ThreadContext& tc;
     Cycle cycles;
     bool await_ready() const noexcept { return cycles == 0; }
-    bool await_suspend(std::coroutine_handle<> h) {
-      return tc.issue_compute(*this, h);
+    void await_suspend(std::coroutine_handle<> h) {
+      tc.issue_compute(*this, h);
     }
     void await_resume() const noexcept {}
   };
@@ -148,16 +144,8 @@ class ThreadContext {
   /// (DynTM lazy mode) or the transaction is already doomed -- the full
   /// retry loop handles those. Must be called at depth > 1.
   RollbackInnerAwaiter tx_rollback_inner() { return {*this}; }
-  /// Wait at `b`; time is charged to the Barrier bucket. Any fast-path
-  /// run-ahead is folded into the recorded arrival time: the core arrives
-  /// in scheduler order, but its wait is measured from the cycle it
-  /// logically reached the barrier (now + skew).
-  BarrierAwaiter barrier(Barrier& b) {
-    Barrier::Waiter w = b.arrive();
-    w.arrived_at += skew_;
-    skew_ = 0;
-    return {*this, w};
-  }
+  /// Wait at `b`; time is charged to the Barrier bucket.
+  BarrierAwaiter barrier(Barrier& b) { return {*this, b.arrive()}; }
 
   CoreId core() const { return core_; }
   bool in_tx() const;
@@ -174,20 +162,16 @@ class ThreadContext {
 
   htm::Txn& txn();
 
-  /// issue_mem/issue_compute return true when the coroutine suspended on
-  /// the scheduler, false when the operation completed synchronously on the
-  /// non-transactional fast path (the caller continues without a queue
-  /// round trip, `skew_` cycles ahead of the scheduler clock).
-  bool issue_mem(MemAwaiter& aw, std::coroutine_handle<> h);
+  void issue_mem(MemAwaiter& aw, std::coroutine_handle<> h);
   /// Foreign-shard access: post a RemoteMsg to the owner's mailbox (the
   /// merger replies at the next window boundary). Throws check::CheckFailure
   /// for anything but a non-transactional load -- the sharded-machine
   /// purity contract (sim/config.hpp PdesParams).
-  bool issue_remote(MemAwaiter& aw, std::coroutine_handle<> h,
+  void issue_remote(MemAwaiter& aw, std::coroutine_handle<> h,
                     std::uint32_t owner);
   void issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h);
   void issue_commit(CommitAwaiter& aw, std::coroutine_handle<> h);
-  bool issue_compute(ComputeAwaiter& aw, std::coroutine_handle<> h);
+  void issue_compute(ComputeAwaiter& aw, std::coroutine_handle<> h);
   void issue_backoff(BackoffAwaiter& aw, std::coroutine_handle<> h);
   void issue_rollback_inner(RollbackInnerAwaiter& aw,
                             std::coroutine_handle<> h);
@@ -207,11 +191,6 @@ class ThreadContext {
   check::Checker* checker_;  // nullptr unless correctness checking is on
   obs::Recorder* obs_;       // nullptr unless tracing/metrics is on
   const RemotePort* port_;   // nullptr unless the machine is sharded
-  /// Fast-path run-ahead: cycles this core has consumed beyond the
-  /// scheduler clock without a queue round trip. Bounded by
-  /// cfg.fastpath_quantum; folded into the next scheduled delay at every
-  /// synchronization point (miss, stall, txn boundary, backoff, barrier).
-  Cycle skew_ = 0;
 };
 
 }  // namespace suvtm::sim

@@ -1,6 +1,9 @@
 // ThreadContext-level behaviour: cost accounting, exclusive loads, backoff
-// growth, stall retries and non-transactional accounting.
+// growth, stall retries, non-transactional accounting and access ordering.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "stamp/framework.hpp"
@@ -151,6 +154,44 @@ TEST(ThreadContextTest, ComputeOutsideTxIsNoTrans) {
   sim.spawn(0, compute_only(sim.context(0)));
   sim.run();
   EXPECT_EQ(sim.breakdown(0).get(Bucket::kNoTrans), 500u);
+}
+
+ThreadTask hit_reader(ThreadContext& tc, const Scheduler& sched, Addr a,
+                      int n, Cycle* t0, std::vector<std::uint64_t>* seen) {
+  co_await tc.load(a);  // cold miss: every later load hits in L1
+  *t0 = sched.now();
+  for (int i = 0; i < n; ++i) seen->push_back(co_await tc.load(a));
+}
+
+ThreadTask late_writer(ThreadContext& tc, const Scheduler& sched, Addr a,
+                       Cycle* t_issue) {
+  co_await tc.compute(300);
+  *t_issue = sched.now();
+  co_await tc.store(a, 1);
+}
+
+// Every access happens at its logical cycle: a stream of non-transactional
+// L1 hits cannot run ahead of the scheduler clock, so a load issued after
+// another core's store reads the stored value. Only the loads issued in
+// [t0, t_issue] (one per cycle) may read the old value.
+TEST(ThreadContextTest, NonTxLoadSeesEveryEarlierStore) {
+  Simulator sim(cfg_logtm());
+  constexpr Addr kX = 0x4000;
+  Cycle t0 = 0;
+  Cycle t_issue = 0;
+  std::vector<std::uint64_t> seen;
+  sim.spawn(0, hit_reader(sim.context(0), sim.scheduler(), kX, 300, &t0,
+                          &seen));
+  sim.spawn(1, late_writer(sim.context(1), sim.scheduler(), kX, &t_issue));
+  sim.run();
+  ASSERT_EQ(seen.size(), 300u);
+  EXPECT_EQ(seen.back(), 1u);
+  const auto stale = static_cast<Cycle>(
+      std::find_if(seen.begin(), seen.end(),
+                   [](std::uint64_t v) { return v != 0; }) -
+      seen.begin());
+  ASSERT_LT(t0, t_issue);
+  EXPECT_LE(stale, t_issue - t0 + 1);
 }
 
 TEST(ThreadContextTest, InTxReflectsState) {
