@@ -52,19 +52,16 @@ sim::ThreadTask scenario(sim::ThreadContext& tc, sim::Simulator& sim,
   co_await tc.tx_commit();
   show(sim, vm, "txn #2 committed (entry deleted)");
 
-  // 3. Abort: a third transaction stores 123 but aborts.
-  bool aborted = false;
-  try {
-    co_await tc.tx_begin(3);
-    co_await tc.store(kVar, 123);
-    show(sim, vm, "in txn #3 after store 123");
-    // Self-inflicted abort via doom: model an incoming conflict.
-    sim.htm().doom(tc.core());
-    co_await tc.tx_commit();
-  } catch (const sim::TxAbort&) {
-    aborted = true;
-  }
-  show(sim, vm, aborted ? "txn #3 aborted (reverted)" : "txn #3 ???");
+  // 3. Abort: a third transaction stores 123 but aborts. This coroutine
+  // issued the tx_begin, so it is the root the abort resumes.
+  co_await tc.tx_begin(3);
+  co_await tc.store(kVar, 123);
+  show(sim, vm, "in txn #3 after store 123");
+  // Self-inflicted abort via doom: model an incoming conflict.
+  sim.htm().doom(tc.core());
+  co_await tc.tx_commit();
+  show(sim, vm,
+       tc.take_abort() ? "txn #3 aborted (reverted)" : "txn #3 ???");
 }
 
 }  // namespace

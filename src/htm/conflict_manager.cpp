@@ -105,7 +105,7 @@ ConflictManager::Decision ConflictManager::check_slow(
       hit = is_write && t->write_sig.test_mixed(lm);
       check_read_sig = false;
       if (!hit && is_write && t->read_sig.test_mixed(lm)) {
-        d.invalidated_lazy_readers.push_back(c);
+        d.invalidated_lazy_readers |= 1ull << c;
         continue;
       }
     } else if (requester_lazy) {
@@ -133,14 +133,16 @@ ConflictManager::Decision ConflictManager::check_slow(
     if (susp_hit) {
       ++stats_.conflicts;
       ++stats_.suspended_stalls;
-      d.invalidated_lazy_readers.clear();
+      d.invalidated_lazy_readers = 0;
       d.action = Action::kStall;  // cannot abort a descheduled transaction
       return d;
     }
     // Proceeding: any lazy readers collected above really do get doomed by
     // this access's invalidation, so their abort edges are recorded here
-    // (the stalling paths clear the list instead).
-    for ([[maybe_unused]] CoreId r : d.invalidated_lazy_readers) {
+    // (the stalling paths clear the mask instead).
+    for (std::uint64_t m = d.invalidated_lazy_readers; m != 0; m &= m - 1) {
+      [[maybe_unused]] const CoreId r =
+          static_cast<CoreId>(std::countr_zero(m));
       SUVTM_OBS_HOOK(obs_, on_conflict_edge(core, r, line, txns[r]->site,
                                             AbortCause::kLazyInvalidated));
     }
@@ -158,7 +160,7 @@ ConflictManager::Decision ConflictManager::check_slow(
       self->timestamp < txns[holder]->timestamp) {
     ++stats_.conflicts;
     ++stats_.requester_wins;
-    d.invalidated_lazy_readers.clear();
+    d.invalidated_lazy_readers = 0;
     d.holder = holder;
     d.victim = holder;
     d.victim_cause = AbortCause::kRequesterWins;
@@ -172,7 +174,7 @@ ConflictManager::Decision ConflictManager::check_slow(
   ++stats_.conflicts;
   if (!exact) ++stats_.false_conflicts;
 
-  d.invalidated_lazy_readers.clear();  // only doom readers when proceeding
+  d.invalidated_lazy_readers = 0;  // only doom readers when proceeding
   d.holder = holder;
 
   // Non-transactional requesters just stall; they hold nothing, so they can

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -62,11 +63,14 @@ class ConflictManager {
     CoreId holder = kNoCore;  // conflicting core when not kProceed
     CoreId victim = kNoCore;  // transaction doomed by cycle detection
     AbortCause victim_cause = AbortCause::kNone;  // why `victim` is doomed
-    /// Running lazy transactions that only *read* a line this write now
-    /// takes exclusive ownership of: the coherence invalidation aborts them
-    /// (DynTM semantics). The caller dooms them; the access proceeds.
-    std::vector<CoreId> invalidated_lazy_readers;
+    /// Core mask (bit c = core c) of running lazy transactions that only
+    /// *read* a line this write now takes exclusive ownership of: the
+    /// coherence invalidation aborts them (DynTM semantics). The caller
+    /// dooms them in ascending core order; the access proceeds.
+    std::uint64_t invalidated_lazy_readers = 0;
   };
+  static_assert(std::is_trivially_copyable_v<Decision>,
+                "check() returns a Decision once per access and NACK retry");
 
   /// Check `line` access by `core` against all other transactions and apply
   /// the stall policy. `txns` is indexed by core; non-transactional

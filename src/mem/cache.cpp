@@ -54,7 +54,7 @@ Cache::Victim Cache::insert(LineAddr l, CohState st) {
   if (victim->state != CohState::kInvalid) {
     out = {true, victim->tag, victim->state, victim->speculative};
   }
-  *victim = Line{l, st, ++tick_, false};
+  *victim = Line{l, ++tick_, st, false};
   return out;
 }
 

@@ -27,12 +27,14 @@ class Cache {
   /// constructor loop. Aggregate-initialize when building a real line.
   struct Line {
     LineAddr tag;            // full line address (simpler than tag bits)
-    CohState state;          // kInvalid (== 0) when the way is empty
     std::uint64_t lru;
+    CohState state;          // kInvalid (== 0) when the way is empty
     bool speculative;        // FasTM SM bit
   };
   static_assert(static_cast<int>(CohState::kInvalid) == 0,
                 "zero-initialized lines must read as invalid");
+  static_assert(sizeof(Line) == 24,
+                "a 4-way set of 24-byte lines spans at most two cache lines");
 
   struct Victim {
     bool valid = false;      // an eviction happened

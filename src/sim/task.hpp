@@ -11,8 +11,10 @@
 //
 // -- while every memory operation suspends the coroutine on the
 // discrete-event scheduler and resumes it when the simulated access
-// completes. Transaction aborts propagate as TxAbort exceptions through
-// nested Task frames up to the retry loop.
+// completes. Transaction aborts do not travel through these frames: the
+// abort resumes the transaction's root frame (the retry loop), and
+// destroying the Task it awaits destroys the nested frames in place
+// (sim/thread_context.hpp). Exceptions are reserved for errors.
 #pragma once
 
 #include <coroutine>
@@ -21,11 +23,6 @@
 #include <variant>
 
 namespace suvtm::sim {
-
-/// Thrown out of co_await when the enclosing hardware transaction aborts.
-/// Caught by the transaction retry loop in the workload framework; workload
-/// bodies never handle it directly.
-struct TxAbort {};
 
 template <class T>
 class Task;
@@ -88,6 +85,9 @@ class [[nodiscard]] Task {
   T await_resume() {
     auto& r = h_.promise().result;
     if (r.index() == 2) std::rethrow_exception(std::get<2>(r));
+    // No result: a transaction abort unwound this frame before it returned,
+    // and the awaiting root discards the value.
+    if (r.index() == 0) return T{};
     return std::move(std::get<1>(r));
   }
 

@@ -1,7 +1,9 @@
 #include "sim/thread_context.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <string>
 
 #include "check/check.hpp"
 #include "htm/htm_system.hpp"
@@ -27,7 +29,16 @@ bool ThreadContext::in_tx() const {
          htm::TxnState::kRunning;
 }
 
-void ThreadContext::start_abort(bool* aborted, std::coroutine_handle<> h) {
+void ThreadContext::guard_no_pending_abort() const {
+  if (abort_pending_) [[unlikely]] {
+    throw check::CheckFailure(
+        "core " + std::to_string(core_) +
+        " issued an operation while an abort is pending: the transaction "
+        "root must call take_abort() after an attempt that may abort");
+  }
+}
+
+void ThreadContext::start_abort() {
   htm::Txn& t = txn();
   assert(t.active());
   t.state = htm::TxnState::kAborting;
@@ -43,7 +54,7 @@ void ThreadContext::start_abort(bool* aborted, std::coroutine_handle<> h) {
   ++htm_.stats().aborts;
   SUVTM_OBS_HOOK(obs_,
                  on_abort_window(core_, sched_.now(), cost, t.doom_cause));
-  sched_.after(cost, [this, aborted, h] {
+  sched_.after(cost, [this] {
     htm::Txn& t2 = txn();
     if (t2.overflowed) ++htm_.stats().overflowed_attempts;
     htm_.vm().on_abort_done(t2);
@@ -52,8 +63,11 @@ void ThreadContext::start_abort(bool* aborted, std::coroutine_handle<> h) {
     htm_.conflicts().clear_wait(core_);
     t2.reset_attempt();  // timestamp survives: progress guarantee
     htm_.conflicts().set_isolation(core_, false);
-    *aborted = true;
-    h.resume();
+    // Unwind by resuming the root: destroying the Task it awaits destroys
+    // every nested frame of the attempt, all inside this one event.
+    assert(root_ && "abort completed with no transaction root frame");
+    abort_pending_ = true;
+    std::exchange(root_, nullptr).resume();
   });
 }
 
@@ -75,6 +89,7 @@ void ThreadContext::issue_remote(MemAwaiter& aw, std::coroutine_handle<> h,
 }
 
 void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
+  guard_no_pending_abort();
   if (port_ != nullptr) [[unlikely]] {
     const std::uint32_t owner = port_->map->shard_of_addr(aw.addr);
     if (owner != port_->shard) {
@@ -87,7 +102,7 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
   const bool tx = t.state == htm::TxnState::kRunning;
 
   if (tx && t.doomed) {
-    start_abort(&aw.aborted, h);
+    start_abort();
     return;
   }
 
@@ -99,12 +114,13 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
   if (dec.victim != kNoCore && dec.victim != core_) {
     htm_.doom(dec.victim, dec.victim_cause);
   }
-  for (CoreId reader : dec.invalidated_lazy_readers) {
-    htm_.doom(reader, htm::AbortCause::kLazyInvalidated);
+  for (std::uint64_t m = dec.invalidated_lazy_readers; m != 0; m &= m - 1) {
+    htm_.doom(static_cast<CoreId>(std::countr_zero(m)),
+              htm::AbortCause::kLazyInvalidated);
   }
   if (dec.action == htm::ConflictManager::Action::kAbortSelf) {
     htm_.doom(core_, dec.victim_cause);
-    start_abort(&aw.aborted, h);
+    start_abort();
     return;
   }
   if (dec.action == htm::ConflictManager::Action::kStall) {
@@ -221,6 +237,7 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
 }
 
 void ThreadContext::issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h) {
+  guard_no_pending_abort();
   htm::Txn& t = txn();
   if (t.state == htm::TxnState::kRunning) {
     // Closed nesting: push a frame recording current transactional extent.
@@ -234,6 +251,7 @@ void ThreadContext::issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h) {
     return;
   }
   assert(t.state == htm::TxnState::kIdle);
+  root_ = h;
   t.state = htm::TxnState::kRunning;
   htm_.conflicts().set_isolation(core_, true);
   t.depth = 1;
@@ -251,12 +269,13 @@ void ThreadContext::issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h) {
   sched_.resume_after(cost, h);
 }
 
-void ThreadContext::issue_commit(CommitAwaiter& aw, std::coroutine_handle<> h) {
+void ThreadContext::issue_commit(std::coroutine_handle<> h) {
+  guard_no_pending_abort();
   htm::Txn& t = txn();
   assert(t.state == htm::TxnState::kRunning && "commit outside a transaction");
 
   if (t.doomed) {
-    start_abort(&aw.aborted, h);
+    start_abort();
     return;
   }
   if (t.depth > 1) {
@@ -272,7 +291,7 @@ void ThreadContext::issue_commit(CommitAwaiter& aw, std::coroutine_handle<> h) {
     // Commit arbitration: one lazy committer at a time.
     const Cycle w = cfg_.htm.stall_retry_interval;
     breakdown_.add(Bucket::kCommitting, w);
-    sched_.after(w, [this, &aw, h] { issue_commit(aw, h); });
+    sched_.after(w, [this, h] { issue_commit(h); });
     return;
   }
   if (!htm_.vm().commit_ready(t)) {
@@ -280,7 +299,7 @@ void ThreadContext::issue_commit(CommitAwaiter& aw, std::coroutine_handle<> h) {
     if (t.lazy) htm_.release_commit_token(core_);
     const Cycle w = cfg_.htm.stall_retry_interval;
     breakdown_.add(Bucket::kCommitting, w);
-    sched_.after(w, [this, &aw, h] { issue_commit(aw, h); });
+    sched_.after(w, [this, h] { issue_commit(h); });
     return;
   }
 
@@ -304,18 +323,20 @@ void ThreadContext::issue_commit(CommitAwaiter& aw, std::coroutine_handle<> h) {
     t2.reset_committed();
     htm_.conflicts().set_isolation(core_, false);
     ++htm_.stats().commits;
+    root_ = nullptr;
     h.resume();
   });
 }
 
 void ThreadContext::issue_rollback_inner(RollbackInnerAwaiter& aw,
                                          std::coroutine_handle<> h) {
+  guard_no_pending_abort();
   htm::Txn& t = txn();
   assert(t.state == htm::TxnState::kRunning && t.depth > 1 &&
          "tx_rollback_inner requires an open nested frame");
   if (t.doomed || !htm_.vm().supports_partial_abort(t)) {
-    // Fall back to a full abort; the outer retry loop re-executes.
-    start_abort(&aw.aborted, h);
+    // Fall back to a full abort; the root restarts the transaction.
+    start_abort();
     return;
   }
   const htm::NestFrame frame = t.frames.back();
@@ -331,12 +352,14 @@ void ThreadContext::issue_rollback_inner(RollbackInnerAwaiter& aw,
 
 void ThreadContext::issue_compute(ComputeAwaiter& aw,
                                   std::coroutine_handle<> h) {
+  guard_no_pending_abort();
   if (in_tx()) attempt_.add_trans(aw.cycles);
   else breakdown_.add(Bucket::kNoTrans, aw.cycles);
   sched_.resume_after(aw.cycles, h);
 }
 
 void ThreadContext::issue_backoff(BackoffAwaiter&, std::coroutine_handle<> h) {
+  guard_no_pending_abort();
   const htm::Txn& t = txn();
   const auto& p = cfg_.htm;
   const unsigned shift =

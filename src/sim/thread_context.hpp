@@ -1,11 +1,20 @@
 // ThreadContext: the per-core bridge between workload coroutines and the
 // simulator. Every awaitable here suspends the calling coroutine on the
-// event scheduler and resumes it when the simulated operation completes;
-// transactional aborts surface as TxAbort exceptions from await_resume.
+// event scheduler and resumes it when the simulated operation completes.
+//
+// Abort contract: the coroutine that issues the outermost tx_begin is the
+// transaction's root (atomically()'s frame). When an attempt aborts, the
+// rollback's completion event resumes the root -- not the awaiter that hit
+// the abort -- with abort_pending() set. The root sees whatever it was
+// awaiting return (a meaningless value), and destroying that awaited Task
+// destroys every nested frame of the attempt. The root must call
+// take_abort() before its next operation; any operation issued while an
+// abort is pending throws check::CheckFailure.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -52,14 +61,10 @@ class ThreadContext {
     bool is_store;
     bool rmw = false;  // load with store intent (exclusive permission)
     std::uint64_t value = 0;
-    bool aborted = false;
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) { tc.issue_mem(*this, h); }
-    std::uint64_t await_resume() const {
-      if (aborted) throw TxAbort{};
-      return value;
-    }
+    std::uint64_t await_resume() const noexcept { return value; }
   };
 
   struct BeginAwaiter {
@@ -72,12 +77,9 @@ class ThreadContext {
 
   struct CommitAwaiter {
     ThreadContext& tc;
-    bool aborted = false;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { tc.issue_commit(*this, h); }
-    void await_resume() const {
-      if (aborted) throw TxAbort{};
-    }
+    void await_suspend(std::coroutine_handle<> h) { tc.issue_commit(h); }
+    void await_resume() const noexcept {}
   };
 
   struct ComputeAwaiter {
@@ -99,16 +101,12 @@ class ThreadContext {
 
   struct RollbackInnerAwaiter {
     ThreadContext& tc;
-    bool aborted = false;    // fell back to a full abort
     bool rolled_back = false;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
       tc.issue_rollback_inner(*this, h);
     }
-    bool await_resume() const {
-      if (aborted) throw TxAbort{};
-      return rolled_back;
-    }
+    bool await_resume() const noexcept { return rolled_back; }
   };
 
   struct BarrierAwaiter {
@@ -129,7 +127,10 @@ class ThreadContext {
   MemAwaiter load_rmw(Addr a) { return {*this, a, 0, false, true}; }
   /// Store `v` to the 64-bit word at `a`.
   MemAwaiter store(Addr a, std::uint64_t v) { return {*this, a, v, true}; }
-  /// Begin a transaction at static site `site` (nesting supported).
+  /// Begin a transaction at static site `site` (nesting supported). The
+  /// outermost begin makes the calling coroutine the transaction's root:
+  /// it must stay suspended inside the transaction until it ends, and it
+  /// must call take_abort() after every operation that may abort.
   BeginAwaiter tx_begin(std::uint32_t site = 0) { return {*this, site}; }
   /// Commit the innermost transaction.
   CommitAwaiter tx_commit() { return {*this}; }
@@ -140,12 +141,21 @@ class ThreadContext {
   /// Partially abort the innermost nested frame (paper Section IV-C closed
   /// nesting): the frame's version state rolls back and the frame is
   /// popped, leaving the outer transaction running. Returns true on a
-  /// partial rollback; throws TxAbort if the scheme cannot partially abort
-  /// (DynTM lazy mode) or the transaction is already doomed -- the full
-  /// retry loop handles those. Must be called at depth > 1.
+  /// partial rollback. If the scheme cannot partially abort (DynTM lazy
+  /// mode) or the transaction is already doomed, the whole transaction
+  /// aborts instead and the root restarts it. Must be called at depth > 1.
   RollbackInnerAwaiter tx_rollback_inner() { return {*this}; }
   /// Wait at `b`; time is charged to the Barrier bucket.
-  BarrierAwaiter barrier(Barrier& b) { return {*this, b.arrive()}; }
+  BarrierAwaiter barrier(Barrier& b) {
+    guard_no_pending_abort();
+    return {*this, b.arrive()};
+  }
+
+  /// True while an aborted attempt's root has not yet called take_abort().
+  bool abort_pending() const { return abort_pending_; }
+  /// Consume a pending abort: true if the root's transaction attempt was
+  /// aborted (and must be retried), false if it is still live or committed.
+  bool take_abort() { return std::exchange(abort_pending_, false); }
 
   CoreId core() const { return core_; }
   bool in_tx() const;
@@ -170,15 +180,20 @@ class ThreadContext {
   void issue_remote(MemAwaiter& aw, std::coroutine_handle<> h,
                     std::uint32_t owner);
   void issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h);
-  void issue_commit(CommitAwaiter& aw, std::coroutine_handle<> h);
+  void issue_commit(std::coroutine_handle<> h);
   void issue_compute(ComputeAwaiter& aw, std::coroutine_handle<> h);
   void issue_backoff(BackoffAwaiter& aw, std::coroutine_handle<> h);
   void issue_rollback_inner(RollbackInnerAwaiter& aw,
                             std::coroutine_handle<> h);
 
   /// Enter kAborting, pay the version manager's rollback cost while
-  /// isolation is still held, then resume `h` with `*aborted` set.
-  void start_abort(bool* aborted, std::coroutine_handle<> h);
+  /// isolation is still held, then set the pending abort and resume the
+  /// transaction's root frame.
+  void start_abort();
+
+  /// Throws check::CheckFailure if an abort is pending: the root skipped
+  /// take_abort() and would otherwise run on non-transactionally.
+  void guard_no_pending_abort() const;
 
   CoreId core_;
   const SimConfig& cfg_;
@@ -191,6 +206,8 @@ class ThreadContext {
   check::Checker* checker_;  // nullptr unless correctness checking is on
   obs::Recorder* obs_;       // nullptr unless tracing/metrics is on
   const RemotePort* port_;   // nullptr unless the machine is sharded
+  std::coroutine_handle<> root_{};  // outermost tx_begin's caller, or null
+  bool abort_pending_ = false;
 };
 
 }  // namespace suvtm::sim

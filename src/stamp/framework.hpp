@@ -16,7 +16,9 @@ namespace suvtm::stamp {
 /// Run `body` as a transaction at static site `site`, retrying with
 /// randomized exponential backoff until it commits. `body` is invoked fresh
 /// for each attempt and must be re-executable (STAMP transaction bodies
-/// are). Usage:
+/// are). This frame is the transaction's root: an abort anywhere in `body`
+/// resumes it at `co_await body(tc)` with the attempt's frames destroyed.
+/// Usage:
 ///
 ///   co_await atomically(tc, kSiteInsert, [&](sim::ThreadContext& t)
 ///       -> sim::Task<void> {
@@ -26,15 +28,10 @@ namespace suvtm::stamp {
 template <class F>
 sim::Task<void> atomically(sim::ThreadContext& tc, std::uint32_t site, F body) {
   for (;;) {
-    bool aborted = false;
-    try {
-      co_await tc.tx_begin(site);
-      co_await body(tc);
-      co_await tc.tx_commit();
-    } catch (const sim::TxAbort&) {
-      aborted = true;  // co_await is illegal inside a handler; retry below
-    }
-    if (!aborted) co_return;
+    co_await tc.tx_begin(site);
+    co_await body(tc);
+    if (!tc.abort_pending()) co_await tc.tx_commit();
+    if (!tc.take_abort()) co_return;
     co_await tc.backoff();
   }
 }

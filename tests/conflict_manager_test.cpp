@@ -200,13 +200,13 @@ TEST_F(ConflictManagerTest, LazyHolderNacksWriteWrite) {
   EXPECT_EQ(check(0, 100, true).action, ConflictManager::Action::kStall);
 }
 
-TEST_F(ConflictManagerTest, WriteInvalidatesLazyReader) {
+TEST_F(ConflictManagerTest, WriteInvalidatesLazyReaders) {
   start(1, {100}, {}, /*lazy=*/true);
+  start(3, {100}, {}, /*lazy=*/true);
   start(0, {}, {});
   auto d = check(0, 100, true);
   EXPECT_EQ(d.action, ConflictManager::Action::kProceed);
-  ASSERT_EQ(d.invalidated_lazy_readers.size(), 1u);
-  EXPECT_EQ(d.invalidated_lazy_readers[0], 1u);
+  EXPECT_EQ(d.invalidated_lazy_readers, (1ull << 1) | (1ull << 3));
 }
 
 TEST_F(ConflictManagerTest, LazyRequesterIgnoresReaders) {

@@ -119,18 +119,12 @@ TEST_F(SuvOperationsTest, Fig4d_RedirectedLoadAndToggleStore) {
 // states without data movement.
 sim::ThreadTask fig4f(sim::Simulator& sim, vm::SuvVm& vm,
                       sim::ThreadContext& tc) {
-  (void)sim;
-  bool aborted = false;
-  try {
-    co_await tc.tx_begin(3);
-    co_await tc.store(0x200000, 100);
-    EXPECT_EQ(vm.table().total_entries(), 1u);
-    sim.htm().doom(tc.core());
-    co_await tc.store(0x200040, 101);  // doomed: this access aborts
-  } catch (const sim::TxAbort&) {
-    aborted = true;
-  }
-  EXPECT_TRUE(aborted);
+  co_await tc.tx_begin(3);
+  co_await tc.store(0x200000, 100);
+  EXPECT_EQ(vm.table().total_entries(), 1u);
+  sim.htm().doom(tc.core());
+  co_await tc.store(0x200040, 101);  // doomed: this access aborts
+  EXPECT_TRUE(tc.take_abort());
   // Entry discarded; pre-transaction value visible untouched.
   EXPECT_EQ(vm.table().total_entries(), 0u);
   const std::uint64_t v = co_await tc.load(0x200000);
