@@ -505,8 +505,8 @@ double cpu_seconds() {
 /// scheme x app matrix with cfg.check.enabled off and on, at the default
 /// checked configuration (sampled structural audits plus always-on abort
 /// audits; the history oracle's replay and conflict-ordering proofs are
-/// always on). The "off" arm is what a checker-capable build pays on the
-/// default path: hooks compiled in, gated on a null pointer.
+/// always on). The "off" arm is the default path: every hook gated on a
+/// null Checker pointer.
 ///
 /// Methodology, built for noisy/throttling CI hosts: each round times the
 /// matrix off, on, on, off (ABBA -- both arms see both positions, so
@@ -537,7 +537,7 @@ void checker_overhead_report(runner::BenchReport& report, int rounds) {
     return points;
   };
   const auto off_pts = matrix(false);
-  const auto on_pts = matrix(check::kHooksCompiled);
+  const auto on_pts = matrix(true);
   runner::ParallelExecutor serial(1);
   std::uint64_t events = 0;
   for (const auto& r : runner::run_matrix(off_pts, serial)) {  // warm

@@ -18,9 +18,9 @@
 //            structurally audited (pass --no-check to opt out, e.g. when
 //            timing the smoke sweep itself).
 //   --check: run every simulation with the correctness checker enabled
-//            (history oracle + structural audits; see src/check). Requires
-//            a build with SUVTM_CHECK=ON to have any effect; any violation
-//            aborts the run. Timing numbers include the checking cost.
+//            (history oracle + structural audits; see src/check); any
+//            violation aborts the run. Timing numbers include the checking
+//            cost.
 //   --trace/--metrics: record observability data during the part-1 sweep
 //            (the determinism check then also covers trace and metrics
 //            byte-stability across jobs counts).
@@ -29,8 +29,6 @@
 #include <cstring>
 #include <string>
 
-#include "api/api.hpp"
-#include "check/check.hpp"
 #include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
 #include "runner/tables.hpp"
@@ -46,8 +44,10 @@ std::vector<runner::RunPoint> sweep_points(const runner::Cli& cli,
   std::vector<runner::RunPoint> points;
   for (sim::Scheme s : {sim::Scheme::kLogTmSe, sim::Scheme::kFasTm,
                         sim::Scheme::kSuv}) {
-    const sim::SimConfig cfg =
-        api::SimBuilder().scheme(s).cores(cores).apply(cli).config();
+    sim::SimConfig cfg;
+    cfg.scheme = s;
+    cfg.mem.num_cores = cores;
+    cli.apply(cfg);
     for (stamp::AppId app : stamp::all_apps()) {
       points.push_back(runner::RunPoint{app, cfg, params});
     }
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   runner::Cli cli = runner::Cli::parse(argc, argv);
   // Always-on correctness: smoke sweeps run checked unless --no-check.
   // (Cli::parse already cleared cli.check if --no-check was given.)
-  if (cli.smoke && !cli.no_check && check::kHooksCompiled) cli.check = true;
+  if (cli.smoke && !cli.no_check) cli.check = true;
   const unsigned jobs = cli.jobs;
   const bool smoke = cli.smoke;
   const bool check = cli.check;

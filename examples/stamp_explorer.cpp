@@ -8,11 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
-#include "api/api.hpp"
 #include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
+#include "runner/experiment.hpp"
 #include "runner/tables.hpp"
 
 using namespace suvtm;
@@ -45,22 +46,26 @@ int main(int argc, char** argv) {
   const runner::Cli cli = runner::Cli::parse(argc, argv);
 
   stamp::AppId app = stamp::AppId::kGenome;
-  sim::Scheme scheme = sim::Scheme::kSuv;
+  sim::SimConfig cfg;
   stamp::SuiteParams params;
-  if (cli.args.size() < 2 || !parse_app(cli.args[0], &app) ||
-      !sim::scheme_from_string(cli.args[1], &scheme)) {
+  if (cli.args.size() < 2 || !parse_app(cli.args[0], &app)) {
     usage();
     return cli.args.empty() ? 0 : 1;
+  }
+  try {
+    cfg.scheme = sim::scheme_from_string(cli.args[1]);
+  } catch (const std::invalid_argument&) {
+    usage();
+    return 1;
   }
   params.scale = cli.scale_or(params.scale);
   if (cli.args.size() > 2) {
     params.seed = std::strtoull(cli.args[2].c_str(), nullptr, 10);
   }
 
-  api::SimBuilder builder;
-  builder.scheme(scheme).apply(cli);
+  cli.apply(cfg);
   obs::TraceData trace;
-  const auto r = builder.run(app, params, &trace);
+  const auto r = runner::run_app(app, cfg, params, &trace);
 
   std::printf("app=%s scheme=%s scale=%.2f seed=%llu\n\n", r.app.c_str(),
               sim::scheme_name(r.scheme), params.scale,

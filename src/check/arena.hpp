@@ -1,5 +1,5 @@
 // Recording and replay storage for the history oracle (history.hpp), built
-// for the hot path the SUVTM_CHECK hooks sit on:
+// for the hot path the SUVTM_CHECK_HOOK sites sit on:
 //
 //   - ArenaPool / RecStream: per-transaction append-only streams of POD
 //     AccessRecs over pooled 4 KB pages. The append fast path is a bump

@@ -59,7 +59,7 @@ void Checker::on_commit_done(CoreId c, Cycle now, bool lazy) {
 
 void Checker::on_abort_done(CoreId c) {
   oracle_.on_abort_done(c);
-  if (cfg_.check.audit_on_abort) run_abort_audits(c);
+  run_abort_audits(c);
 }
 
 void Checker::on_suspend(CoreId c) {

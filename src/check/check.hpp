@@ -10,9 +10,9 @@
 //     every other isolation-holding transaction (the signatures the
 //     conflict manager consults are supersets of those sets, so a granted
 //     access that intersects an exact set means isolation actually broke);
-//   - every `audit_period`-th commit, plus every abort (audit_on_abort)
-//     and finalize(), walks the coherence/signature/SUV structures for
-//     internal consistency;
+//   - every `audit_period`-th commit, plus every abort and finalize(),
+//     walks the coherence/signature/SUV structures for internal
+//     consistency;
 //   - finalize() additionally sweeps the whole backing-store image against
 //     a snapshot taken at run start: words no committed access wrote must
 //     be unchanged (a broken abort restore shows up here).
@@ -24,11 +24,9 @@
 // pays the full per-core scan, which keeps the doomed/lazy case analysis
 // in one (cold) place.
 //
-// Compile-time gating: the simulator's hook sites go through
-// SUVTM_CHECK_HOOK, which compiles to nothing unless the build sets
-// SUVTM_CHECK_ENABLED=1 (the SUVTM_CHECK CMake option). The Checker class
-// itself is always compiled -- tests drive it directly -- only the hot-path
-// hook sites vanish.
+// Gating: the simulator's hook sites go through SUVTM_CHECK_HOOK, one
+// test of a Checker pointer that the Simulator leaves null unless
+// cfg.check.enabled is set. Tests also drive the Checker class directly.
 #pragma once
 
 #include <array>
@@ -43,20 +41,12 @@
 #include "common/types.hpp"
 #include "htm/htm_system.hpp"
 
-#ifndef SUVTM_CHECK_ENABLED
-#define SUVTM_CHECK_ENABLED 0
-#endif
-
-#if SUVTM_CHECK_ENABLED
+/// Invoke `call` on the check::Checker* `ck` when checking is active.
+/// `ck` is evaluated once; the call is skipped when it is nullptr.
 #define SUVTM_CHECK_HOOK(ck, call) \
   do {                             \
     if (ck) (ck)->call;            \
   } while (0)
-#else
-#define SUVTM_CHECK_HOOK(ck, call) \
-  do {                             \
-  } while (0)
-#endif
 
 namespace suvtm::mem {
 class MemorySystem;
@@ -70,8 +60,8 @@ struct SimConfig;
 
 namespace suvtm::check {
 
-/// True when this build compiled the simulator's hook sites in.
-inline constexpr bool kHooksCompiled = SUVTM_CHECK_ENABLED != 0;
+/// Every build carries the hook sites; kept for callers that report it.
+inline constexpr bool kHooksCompiled = true;
 
 /// Thrown by Checker::finalize() when any violation was recorded.
 class CheckFailure : public std::runtime_error {

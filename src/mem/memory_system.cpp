@@ -47,7 +47,7 @@ bool MemorySystem::l2_insert_with_recall(LineAddr l, CohState st) {
   return true;
 }
 
-Cycle MemorySystem::fetch_from_l2_or_memory(LineAddr l, std::uint32_t /*bank_tile*/) {
+Cycle MemorySystem::fetch_from_l2_or_memory(LineAddr l) {
   if (Cache::Line* hit = l2_.find(l)) {
     ++stats_.l2_hits;
     l2_.touch(*hit);
@@ -146,7 +146,7 @@ AccessOutcome MemorySystem::access(CoreId core, Addr a, bool is_write) {
       out.l2_hit = true;
     } else {
       out.l2_hit = l2_.find(l) != nullptr;
-      out.latency += fetch_from_l2_or_memory(l, bank);
+      out.latency += fetch_from_l2_or_memory(l);
       out.latency += mesh_.latency(bank, core);  // data reply
       e = &dir_.entry(l);  // the L2 fill may have moved the slot
     }
@@ -197,7 +197,7 @@ AccessOutcome MemorySystem::access(CoreId core, Addr a, bool is_write) {
     const bool had_local_copy = ln != nullptr;
     if (!had_local_copy) {
       out.l2_hit = l2_.find(l) != nullptr;
-      out.latency += fetch_from_l2_or_memory(l, bank);
+      out.latency += fetch_from_l2_or_memory(l);
       out.latency += mesh_.latency(bank, core);
       e = &dir_.entry(l);  // the L2 fill may have moved the slot
     }

@@ -118,7 +118,7 @@ class MemorySystem {
   void set_obs(obs::Recorder* r) { obs_ = r; }
 
  private:
-  Cycle fetch_from_l2_or_memory(LineAddr l, std::uint32_t bank_tile);
+  Cycle fetch_from_l2_or_memory(LineAddr l);
   void l1_eviction(CoreId core, const Cache::Victim& v);
   /// Insert into the L2 and, if that evicted a line with L1 copies, recall
   /// them (invalidate + directory reset). Returns true if a recall happened.

@@ -18,11 +18,7 @@ Counter counter_for_cause(htm::AbortCause cause) {
 
 Recorder::Recorder(const sim::ObsParams& params, std::uint32_t num_cores)
     : trace_on_(params.trace), trace_mem_(params.trace_mem),
-      sample_interval_(params.sample_interval_events == 0
-                           ? 1
-                           : params.sample_interval_events),
-      sample_countdown_(sample_interval_), tracer_(params.max_trace_events),
-      cores_(num_cores) {}
+      tracer_(params.max_trace_events), cores_(num_cores) {}
 
 void Recorder::close_stall(CoreId c, Cycle t) {
   CoreSpans& s = cores_[c];

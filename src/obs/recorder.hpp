@@ -30,7 +30,7 @@ class Recorder {
   const TraceData& trace() const { return tracer_.data(); }
   TraceData take_trace() { return tracer_.take(); }
 
-  /// Gauge sampler, invoked every `sample_interval_events` scheduler events.
+  /// Gauge sampler, invoked every kSampleIntervalEvents scheduler events.
   /// Installed by the Simulator (it knows which structures exist).
   using Sampler = std::function<void(Metrics&, Cycle)>;
   void set_sampler(Sampler s) { sampler_ = std::move(s); }
@@ -42,7 +42,7 @@ class Recorder {
     now_ = t;
     while (n >= sample_countdown_) {
       n -= sample_countdown_;
-      sample_countdown_ = sample_interval_;
+      sample_countdown_ = kSampleIntervalEvents;
       if (sampler_) sampler_(metrics_, now_);
     }
     sample_countdown_ -= static_cast<std::uint32_t>(n);
@@ -109,10 +109,12 @@ class Recorder {
     bool stall_open = false;
   };
 
+  /// Occupancy gauges are sampled every this many scheduler events.
+  static constexpr std::uint32_t kSampleIntervalEvents = 8192;
+
   bool trace_on_ = false;
   bool trace_mem_ = false;
-  std::uint32_t sample_interval_ = 0;
-  std::uint32_t sample_countdown_ = 0;
+  std::uint32_t sample_countdown_ = kSampleIntervalEvents;
   Cycle now_ = 0;
   Tracer tracer_;
   Metrics metrics_;

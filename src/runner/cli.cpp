@@ -6,9 +6,7 @@
 #include <string_view>
 #include <utility>
 
-#include "check/check.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/obs.hpp"
 #include "runner/parallel.hpp"
 
 namespace suvtm::runner {
@@ -95,16 +93,6 @@ Cli Cli::parse(int& argc, char** argv) {
   argv[argc] = nullptr;
 
   if (cli.no_check) cli.check = false;
-  if (cli.check && !check::kHooksCompiled) {
-    std::fprintf(stderr,
-                 "warning: --check requested but this build has "
-                 "SUVTM_CHECK=OFF; running unchecked\n");
-  }
-  if ((cli.tracing() || cli.metrics) && !obs::kHooksCompiled) {
-    std::fprintf(stderr,
-                 "warning: --trace/--metrics requested but this build has "
-                 "SUVTM_OBS=OFF; nothing will be recorded\n");
-  }
   return cli;
 }
 

@@ -39,8 +39,7 @@ struct Cli {
 
   /// Parse and strip the shared flags plus all positionals from argv.
   /// Unknown --flags stay in argv for harness-specific parsing. Sizes the
-  /// process-wide default executor to `jobs` and warns once when --check or
-  /// --trace/--metrics ask for hooks this build compiled out.
+  /// process-wide default executor to `jobs`.
   static Cli parse(int& argc, char** argv);
 
   bool tracing() const { return !trace_path.empty(); }

@@ -66,8 +66,8 @@ struct RunPoint {
 /// Harvest every stats block -- and, when the run recorded metrics, the
 /// uniform MetricsSnapshot -- from a finished simulation. When `trace_out`
 /// is non-null and the run traced, the event trace is moved into it.
-/// Shared by run_app and api::RunHandle so hand-built simulations produce
-/// the exact RunResult the experiment harness would.
+/// Shared by run_app and by programs that build a Simulator by hand, so
+/// hand-built simulations produce the exact RunResult the harness would.
 RunResult harvest_result(sim::Simulator& sim, std::string app_name,
                          obs::TraceData* trace_out = nullptr);
 

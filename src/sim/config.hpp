@@ -34,9 +34,9 @@ const std::vector<SchemeInfo>& scheme_table();
 const std::vector<Scheme>& all_schemes();
 const char* scheme_name(Scheme s);
 const char* scheme_cli_name(Scheme s);
-/// Accepts either spelling from the table (case-sensitive). Returns false
-/// and leaves `*out` untouched on an unknown name.
-bool scheme_from_string(std::string_view s, Scheme* out);
+/// Accepts either spelling from the table (case-sensitive). Throws
+/// std::invalid_argument listing the valid names on an unknown one.
+Scheme scheme_from_string(std::string_view s);
 
 /// Memory-hierarchy parameters (paper Table III).
 struct MemParams {
@@ -47,14 +47,12 @@ struct MemParams {
   std::uint32_t l1_assoc = 4;
   Cycle l1_latency = 1;
 
-  std::uint32_t l2_bytes = 8 * 1024 * 1024;  // 8 MB shared
+  std::uint32_t l2_bytes = 8 * 1024 * 1024;  // 8 MB shared, a bank per tile
   std::uint32_t l2_assoc = 8;
-  std::uint32_t l2_banks = 16;               // one bank per tile
   Cycle l2_latency = 15;
 
   Cycle directory_latency = 6;
   Cycle memory_latency = 150;
-  std::uint32_t memory_banks = 4;
 
   Cycle mesh_wire_latency = 2;   // per hop
   Cycle mesh_route_latency = 1;  // per hop
@@ -115,7 +113,6 @@ struct SuvParams {
   std::uint32_t l2_table_entries = 16384; // 8-way shared
   std::uint32_t l2_table_assoc = 8;
   Cycle l2_table_latency = 10;
-  Cycle memory_table_latency = 150;       // software-managed swapped entries
   Cycle misspeculation_penalty = 100;     // wrong speculative use of original
 
   std::uint32_t summary_signature_bits = 2048;
@@ -139,25 +136,21 @@ inline bool check_enabled_by_env() {
   return v;
 }
 
-/// Runtime knobs for the correctness-checking subsystem (src/check). Only
-/// consulted when the hooks were compiled in (-DSUVTM_CHECK=ON); with the
-/// hooks compiled out this block is inert.
+/// Runtime knobs for the correctness-checking subsystem (src/check).
 struct CheckParams {
   /// Master switch: record the access history, run the serializability
   /// oracle at end of run, and audit structural invariants while running.
   bool enabled = check_enabled_by_env();
   /// Sampling period for the full structural audits: run them every this
   /// many commit completions (0 disables sampling; they always run once
-  /// more at end of run). Sampling trades detection *latency*, not
+  /// more at end of run). Every abort audits the structures it touched
+  /// (signatures + SUV tables) regardless: aborts are where
+  /// version-management bugs surface and they are rare enough to afford it. Sampling trades detection *latency*, not
   /// soundness: structural corruption is persistent state, so it is caught
   /// at the next sampled boundary or at finalize -- within N commits of
   /// its first observable effect. Mutation/negative tests pin this to 1 so
   /// a corrupted state can never slip through a sampled window.
   std::uint32_t audit_period = 512;
-  /// Audit the abort-touched structures (signatures + SUV tables) after
-  /// every abort, independent of the sampling period: aborts are where
-  /// version-management bugs surface and they are rare enough to afford it.
-  bool audit_on_abort = true;
   /// Differential-testing baseline: retain the whole history and replay it
   /// only at finalize() instead of streaming at the serialization horizon.
   /// Slower and unbounded in memory; used by the equivalence suite to prove
@@ -174,10 +167,9 @@ inline bool env_flag(const char* var) {
   return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
 }
 
-/// Runtime knobs for the observability subsystem (src/obs). Only consulted
-/// when the hooks were compiled in (-DSUVTM_OBS=ON); with the hooks compiled
-/// out this block is inert. A Recorder is created iff trace or metrics is
-/// set, so the default-off config costs one never-taken branch per hook.
+/// Runtime knobs for the observability subsystem (src/obs). A Recorder is
+/// created iff trace or metrics is set, so the default-off config costs one
+/// never-taken branch per hook.
 struct ObsParams {
   /// Record lifecycle spans, conflict edges and structure events for the
   /// Chrome-trace exporter. Defaults from the SUVTM_TRACE env var.
@@ -188,8 +180,6 @@ struct ObsParams {
   /// Also trace per-access memory events (L1 misses, directory forwards).
   /// Voluminous; off by default even when tracing.
   bool trace_mem = false;
-  /// Sample occupancy gauges every this many scheduler events.
-  std::uint32_t sample_interval_events = 8192;
   /// Hard cap on recorded trace events per run (overflow counts `dropped`).
   std::uint64_t max_trace_events = 1ull << 20;
 
@@ -210,8 +200,8 @@ struct PdesParams {
   /// Simulated-machine shards. Must divide mem.num_cores. Workloads built
   /// for a sharded machine must keep transactions and stores shard-local;
   /// cross-shard traffic is limited to non-transactional reads, which
-  /// travel through window-boundary mailboxes (checked builds throw
-  /// check::CheckFailure on violations).
+  /// travel through window-boundary mailboxes (violations throw
+  /// check::CheckFailure).
   std::uint32_t shards = 1;
   /// Host threads driving the shard schedulers (--sim-threads /
   /// SUVTM_SIM_THREADS). Clamped to `shards`; ignored when shards == 1.
@@ -234,6 +224,11 @@ struct SimConfig {
   std::uint64_t seed = 1;
   /// Safety valve: abort the simulation if it exceeds this many cycles.
   Cycle max_cycles = 5'000'000'000ull;
+
+  /// Throw std::invalid_argument naming the first field whose value the
+  /// simulator cannot model (Simulator's constructor calls this; defined
+  /// in sim/simulator.cpp).
+  void validate() const;
 };
 
 }  // namespace suvtm::sim

@@ -133,17 +133,10 @@ class Scheduler {
 
   /// The schedule-into-the-past guard. The binary heap merely mis-ordered a
   /// past-time event; the wheel would silently mis-bucket it a whole window
-  /// late, so SUVTM_CHECK builds promote the assert to a thrown
-  /// check::CheckFailure that fires in release mode too.
+  /// late, so the guard throws a catchable check::CheckFailure (see
+  /// scheduler_property_test).
   void check_not_past(Cycle t) const {
-    // The throw must precede the assert: this repo keeps asserts enabled in
-    // every build type, and the thrown CheckFailure is the testable,
-    // catchable form of the same guard (see scheduler_property_test).
-#if defined(SUVTM_CHECK_ENABLED) && SUVTM_CHECK_ENABLED
     if (t < now_) throw_scheduled_into_past(t);
-#endif
-    assert(t >= now_ && "cannot schedule into the past");
-    (void)t;
   }
   [[noreturn]] void throw_scheduled_into_past(Cycle t) const;
 

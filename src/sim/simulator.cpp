@@ -1,7 +1,9 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "vm/dyntm.hpp"
 #include "vm/suv_vm.hpp"
@@ -12,17 +14,17 @@ void Simulator::build_domain(Domain& d) {
   d.mem = std::make_unique<mem::MemorySystem>(cfg_.mem);
   d.htm = std::make_unique<htm::HtmSystem>(cfg_, *d.mem,
                                            make_version_manager(cfg_, *d.mem));
-  if (check::kHooksCompiled && cfg_.check.enabled) {
+  if (cfg_.check.enabled) {
     d.checker = std::make_unique<check::Checker>(cfg_, *d.mem, *d.htm);
     d.htm->set_checker(d.checker.get());
   }
-  if (obs::kHooksCompiled && cfg_.obs.enabled()) {
+  if (cfg_.obs.enabled()) {
     d.recorder = std::make_unique<obs::Recorder>(cfg_.obs, cfg_.mem.num_cores);
     d.sched.set_obs(d.recorder.get());
     d.htm->set_obs(d.recorder.get());
     d.mem->set_obs(d.recorder.get());
 
-    // Occupancy gauges, sampled every cfg.obs.sample_interval_events
+    // Occupancy gauges, sampled every obs::Recorder::kSampleIntervalEvents
     // scheduler events. Everything read here is this domain's own
     // deterministic state, so the series are reproducible across host job
     // and shard-thread counts.
@@ -49,13 +51,52 @@ void Simulator::build_domain(Domain& d) {
   }
 }
 
-Simulator::Simulator(const SimConfig& cfg) : cfg_(cfg) {
-  const std::uint32_t shards = std::max<std::uint32_t>(1, cfg_.pdes.shards);
-  if (cfg_.mem.num_cores % shards != 0) {
-    throw std::invalid_argument(
-        "pdes.shards must divide mem.num_cores (cores partition into "
-        "equal contiguous blocks)");
+namespace {
+
+[[noreturn]] void invalid(const char* field, const char* why) {
+  throw std::invalid_argument(std::string("invalid SimConfig: ") + field +
+                              " " + why);
+}
+
+void check_pow2(std::uint32_t v, const char* field) {
+  if (!std::has_single_bit(v)) invalid(field, "must be a power of two");
+}
+
+void check_hashes(std::uint32_t v, const char* field) {
+  if (v < 1 || v > 8) invalid(field, "must be in 1..8");
+}
+
+void check_cache(std::uint32_t bytes, std::uint32_t assoc,
+                 const char* assoc_field, const char* bytes_field) {
+  if (assoc == 0) invalid(assoc_field, "must be nonzero");
+  if (!std::has_single_bit(bytes / kLineBytes / assoc)) {
+    invalid(bytes_field, "must give a nonzero power-of-two set count");
   }
+}
+
+}  // namespace
+
+void SimConfig::validate() const {
+  if (mem.num_cores > 64) {
+    invalid("mem.num_cores", "must be at most 64 (conflict masks are 64-bit)");
+  }
+  if (mem.mesh_dim == 0) invalid("mem.mesh_dim", "must be nonzero");
+  check_cache(mem.l1_bytes, mem.l1_assoc, "mem.l1_assoc", "mem.l1_bytes");
+  check_cache(mem.l2_bytes, mem.l2_assoc, "mem.l2_assoc", "mem.l2_bytes");
+  check_pow2(htm.signature_bits, "htm.signature_bits");
+  check_hashes(htm.signature_hashes, "htm.signature_hashes");
+  check_pow2(suv.summary_signature_bits, "suv.summary_signature_bits");
+  check_hashes(suv.summary_signature_hashes, "suv.summary_signature_hashes");
+  if (mem.num_cores % std::max<std::uint32_t>(1, pdes.shards) != 0) {
+    invalid("pdes.shards",
+            "must divide mem.num_cores (cores partition into equal "
+            "contiguous blocks)");
+  }
+}
+
+Simulator::Simulator(const SimConfig& cfg) : cfg_(cfg) {
+  cfg_.validate();
+  const std::uint32_t shards = std::max<std::uint32_t>(1, cfg_.pdes.shards);
   map_.shards = shards;
   map_.cores_per_shard = cfg_.mem.num_cores / shards;
 

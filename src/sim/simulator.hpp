@@ -49,14 +49,14 @@ class Simulator {
   }
   ThreadContext& context(CoreId c) { return *contexts_[c]; }
 
-  /// The domain's correctness checker, or nullptr when checking is compiled
-  /// out or disabled (cfg.check.enabled, defaulted from SUVTM_CHECK).
+  /// The domain's correctness checker, or nullptr when checking is disabled
+  /// (cfg.check.enabled, defaulted from the SUVTM_CHECK env var).
   check::Checker* checker(std::uint32_t domain = 0) {
     return domains_[domain]->checker.get();
   }
 
-  /// The domain's observability recorder, or nullptr when the hooks are
-  /// compiled out or cfg.obs asked for neither tracing nor metrics.
+  /// The domain's observability recorder, or nullptr when cfg.obs asked for
+  /// neither tracing nor metrics.
   obs::Recorder* recorder(std::uint32_t domain = 0) {
     return domains_[domain]->recorder.get();
   }

@@ -1,4 +1,6 @@
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "sim/simulator.hpp"
 #include "vm/dyntm.hpp"
@@ -46,14 +48,16 @@ const char* scheme_cli_name(Scheme s) {
   return "?";
 }
 
-bool scheme_from_string(std::string_view s, Scheme* out) {
+Scheme scheme_from_string(std::string_view s) {
   for (const SchemeInfo& i : scheme_table()) {
-    if (s == i.name || s == i.cli_name) {
-      *out = i.scheme;
-      return true;
-    }
+    if (s == i.name || s == i.cli_name) return i.scheme;
   }
-  return false;
+  std::string msg = "unknown scheme \"" + std::string(s) + "\"; valid names:";
+  for (const SchemeInfo& i : scheme_table()) {
+    msg += ' ';
+    msg += i.cli_name;
+  }
+  throw std::invalid_argument(msg);
 }
 
 std::unique_ptr<htm::VersionManager> make_version_manager(

@@ -63,14 +63,7 @@ Cycle FasTm::partial_abort(htm::Txn& txn, std::size_t mark) {
   // Restore the frame's words from the shadow log. On the fast path the
   // hardware refetches old lines from the L2 instead of walking a log, so
   // only degenerated transactions pay the per-entry software cost.
-  std::size_t walked = 0;
-  while (txn.undo.size() > mark) {
-    const auto [addr, old] = txn.undo.back();
-    mem_.store_word(addr, old);
-    txn.logged_words.erase(addr);
-    txn.undo.pop_back();
-    ++walked;
-  }
+  const std::size_t walked = pop_undo_to(txn, mark, mem_);
   if (txn.degenerated && txn.undo.size() < txn.degen_undo_mark) {
     txn.degen_undo_mark = txn.undo.size();
   }

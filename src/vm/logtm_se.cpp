@@ -26,6 +26,19 @@ void restore_undo_log(htm::Txn& txn, mem::MemorySystem& mem) {
   }
 }
 
+std::size_t pop_undo_to(htm::Txn& txn, std::size_t mark,
+                        mem::MemorySystem& mem) {
+  std::size_t walked = 0;
+  while (txn.undo.size() > mark) {
+    const auto [addr, old] = txn.undo.back();
+    mem.store_word(addr, old);
+    txn.logged_words.erase(addr);
+    txn.undo.pop_back();
+    ++walked;
+  }
+  return walked;
+}
+
 htm::StoreAction LogTmSe::on_tx_store(htm::Txn& txn, Addr a) {
   ++stats_.tx_stores;
   const Cycle extra =
@@ -57,14 +70,7 @@ void LogTmSe::on_abort_done(htm::Txn& txn) {
 
 Cycle LogTmSe::partial_abort(htm::Txn& txn, std::size_t mark) {
   // Walk only the innermost frame's undo entries, newest first.
-  std::size_t walked = 0;
-  while (txn.undo.size() > mark) {
-    const auto [addr, old] = txn.undo.back();
-    mem_.store_word(addr, old);
-    txn.logged_words.erase(addr);
-    txn.undo.pop_back();
-    ++walked;
-  }
+  const std::size_t walked = pop_undo_to(txn, mark, mem_);
   return params_.abort_trap_latency / 2 +
          params_.abort_per_entry * static_cast<Cycle>(walked);
 }

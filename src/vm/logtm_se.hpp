@@ -52,4 +52,10 @@ Cycle log_undo_word(htm::Txn& txn, Addr a, mem::MemorySystem& mem,
 /// Shared helper: functionally restore all logged words (newest first).
 void restore_undo_log(htm::Txn& txn, mem::MemorySystem& mem);
 
+/// Shared helper for closed-nesting partial aborts: restore and pop the undo
+/// entries above `mark`, newest first, forgetting their words so a retry
+/// logs them again. Returns how many entries it walked.
+std::size_t pop_undo_to(htm::Txn& txn, std::size_t mark,
+                        mem::MemorySystem& mem);
+
 }  // namespace suvtm::vm

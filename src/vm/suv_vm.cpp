@@ -144,13 +144,7 @@ Cycle SuvVm::partial_abort(htm::Txn& txn, std::size_t mark) {
   // outer frame's entries (and any toggles it made) survive untouched.
   auto& owned = owned_[txn.core];
   while (owned.size() > mark) {
-    const auto out = table_.abort_entry(owned.back());
-    if (out.deleted) {
-      ++sstats_.entries_discarded;
-      pools_[suv::PreservedPool::owner_of(out.target)]->release(out.target);
-    } else {
-      ++sstats_.entries_reverted;
-    }
+    discard_entry(owned.back());
     owned.pop_back();
   }
   return params_.flash_abort;
@@ -176,17 +170,21 @@ void SuvVm::on_resume(CoreId core) {
   suspended_owned_[core].erase(suspended_owned_[core].begin());
 }
 
-void SuvVm::on_abort_done(htm::Txn& txn) {
-  for (LineAddr line : owned_[txn.core]) {
-    const auto out = table_.abort_entry(line);
-    if (out.deleted) {
-      ++sstats_.entries_discarded;
-      pools_[suv::PreservedPool::owner_of(out.target)]->release(out.target);
-    } else {
-      // A toggled entry reverted to kGlobalRedirect; nothing to free.
-      ++sstats_.entries_reverted;
-    }
+void SuvVm::discard_entry(LineAddr line) {
+  const auto out = table_.abort_entry(line);
+  if (out.deleted) {
+    ++sstats_.entries_discarded;
+    pools_[suv::PreservedPool::owner_of(out.target)]->release(out.target);
+  } else {
+    // A toggled entry reverted to kGlobalRedirect; nothing to free.
+    ++sstats_.entries_reverted;
   }
+}
+
+void SuvVm::on_abort_done(htm::Txn& txn) {
+  // Oldest first, unlike partial_abort's newest-first pops: pool-release
+  // order feeds later allocations, so each loop keeps its order.
+  for (LineAddr line : owned_[txn.core]) discard_entry(line);
   owned_[txn.core].clear();
   // No invalidations: the original lines still hold the pre-transaction
   // values (single-update property); pool lines are simply released.

@@ -94,6 +94,9 @@ class SuvVm final : public htm::VersionManager {
   /// Extra commit/abort flash cost for entries that spilled to the shared
   /// second-level table (their flips cannot ride the per-core flash).
   Cycle overflow_flip_cost(const htm::Txn& txn) const;
+  /// Flash-flip one aborted transient entry: a fresh redirect is discarded
+  /// and its pool line released; a toggle reverts to kGlobalRedirect.
+  void discard_entry(LineAddr line);
 
   sim::SuvParams params_;
   mem::MemorySystem& mem_;

@@ -316,10 +316,8 @@ TEST(OracleEquivalenceTest, StreamingRetirementBoundsArenaPages) {
 
 /// Full-simulation differential run: the same workload with the oracle in
 /// incremental and reference mode must finalize clean both ways and leave
-/// the same resolved image. (Meaningful only when the hook sites are
-/// compiled in; the default build has them.)
+/// the same resolved image.
 TEST(OracleEquivalenceTest, CheckedRunsMatchReferenceAcrossSchemesAndSeeds) {
-  if (!kHooksCompiled) GTEST_SKIP() << "SUVTM_CHECK hooks compiled out";
   for (sim::Scheme scheme :
        {sim::Scheme::kLogTmSe, sim::Scheme::kSuv, sim::Scheme::kDynTmSuv}) {
     for (std::uint64_t seed : {3ull, 11ull}) {
@@ -348,7 +346,6 @@ TEST(OracleEquivalenceTest, CheckedRunsMatchReferenceAcrossSchemesAndSeeds) {
 /// Sharded PDES differential run: one checker (and oracle) per shard, both
 /// modes must agree on the full RunResult bit for bit.
 TEST(OracleEquivalenceTest, ShardedCheckedRunMatchesReference) {
-  if (!kHooksCompiled) GTEST_SKIP() << "SUVTM_CHECK hooks compiled out";
   auto run_one = [](bool reference) {
     sim::SimConfig cfg;
     cfg.scheme = sim::Scheme::kSuv;

@@ -251,7 +251,6 @@ TEST(AuditSamplingTest, PeriodNCatchesPersistentCorruptionWithinNCommits) {
   cfg.scheme = sim::Scheme::kLogTmSe;
   cfg.check.enabled = false;
   cfg.check.audit_period = 4;
-  cfg.check.audit_on_abort = false;  // isolate the sampled commit path
   sim::Simulator sim(cfg);
   Checker ck(cfg, sim.mem(), sim.htm());
   // Persistent corruption: an exact-set line the signature never admitted.
@@ -275,7 +274,6 @@ TEST(AuditSamplingTest, AbortAuditsFireRegardlessOfPeriod) {
   cfg.scheme = sim::Scheme::kLogTmSe;
   cfg.check.enabled = false;
   cfg.check.audit_period = 0;  // sampling off entirely
-  cfg.check.audit_on_abort = true;
   sim::Simulator sim(cfg);
   Checker ck(cfg, sim.mem(), sim.htm());
   // The abort audit is scoped to the aborting attempt, so the corruption

@@ -1,7 +1,8 @@
-// Tests for the observability layer (src/obs) and the suvtm::api facade:
-// metrics snapshot/merge semantics, the trace cap, byte-identical trace
-// export across host job counts, a golden abort-edge check on a forced
-// two-core conflict, scheme-string round-trips and the shared Cli parser.
+// Tests for the observability layer (src/obs) and the shared bench/example
+// plumbing: metrics snapshot/merge semantics, the trace cap, byte-identical
+// trace export across host job counts, a golden abort-edge check on a
+// forced two-core conflict, scheme-string round-trips and the shared Cli
+// parser.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,10 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "api/api.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "runner/cli.hpp"
 #include "runner/experiment.hpp"
@@ -82,7 +81,6 @@ TEST(TracerTest, CapCountsDroppedEvents) {
 }
 
 TEST(TracerTest, RunRespectsConfiguredCap) {
-  if (!obs::kHooksCompiled) GTEST_SKIP() << "obs hooks compiled out";
   sim::SimConfig cfg;
   cfg.scheme = sim::Scheme::kSuv;
   cfg.obs.trace = true;
@@ -98,7 +96,6 @@ TEST(TracerTest, RunRespectsConfiguredCap) {
 // ---- determinism across host job counts ------------------------------------
 
 TEST(TraceDeterminismTest, SerialAndParallelBytesIdentical) {
-  if (!obs::kHooksCompiled) GTEST_SKIP() << "obs hooks compiled out";
   stamp::SuiteParams params;
   params.scale = 0.1;
   std::vector<runner::RunPoint> points;
@@ -144,31 +141,30 @@ sim::ThreadTask counter_hammer(sim::ThreadContext& tc, sim::Barrier& bar,
 }
 
 TEST(TraceGoldenTest, ContendedCounterEmitsSpansAndAbortEdges) {
-  if (!obs::kHooksCompiled) GTEST_SKIP() << "obs hooks compiled out";
   constexpr Addr kCounter = 0x9000;
   constexpr int kIters = 40;
-  api::RunHandle h = api::SimBuilder()
-                         .scheme(sim::Scheme::kSuv)
-                         .cores(4)
-                         .trace(true)
-                         .metrics(true)
-                         .build();
-  sim::Barrier& bar = h.make_barrier(h.num_cores());
-  for (CoreId c = 0; c < h.num_cores(); ++c) {
-    h.spawn(c, counter_hammer(h.context(c), bar, kCounter, kIters));
+  sim::SimConfig cfg;
+  cfg.scheme = sim::Scheme::kSuv;
+  cfg.mem.num_cores = 4;
+  cfg.obs.trace = true;
+  cfg.obs.metrics = true;
+  sim::Simulator sim(cfg);
+  sim::Barrier& bar = sim.make_barrier(sim.num_cores());
+  for (CoreId c = 0; c < sim.num_cores(); ++c) {
+    sim.spawn(c, counter_hammer(sim.context(c), bar, kCounter, kIters));
   }
-  h.run();
-  EXPECT_EQ(h.word(kCounter),
-            static_cast<std::uint64_t>(h.num_cores()) * kIters);
+  sim.run();
+  EXPECT_EQ(sim.read_word_resolved(kCounter),
+            static_cast<std::uint64_t>(sim.num_cores()) * kIters);
 
-  const htm::HtmStats& stats = h.htm_stats();
+  const htm::HtmStats stats = sim.total_htm_stats();
   ASSERT_GT(stats.aborts, 0u) << "scenario must force conflicts";
 
-  const obs::TraceData& t = h.trace();
+  const obs::TraceData t = sim.take_trace();
   ASSERT_FALSE(t.events.empty());
   std::uint64_t spans = 0, edges = 0, abort_spans = 0;
   for (const obs::TraceEvent& e : t.events) {
-    EXPECT_LE(e.ts + e.dur, h.makespan());
+    EXPECT_LE(e.ts + e.dur, sim.makespan());
     switch (e.kind) {
       case obs::EventKind::kTxnSpan:
         ++spans;
@@ -190,7 +186,7 @@ TEST(TraceGoldenTest, ContendedCounterEmitsSpansAndAbortEdges) {
   EXPECT_EQ(abort_spans, stats.aborts);
   EXPECT_GT(edges, 0u);
 
-  const obs::MetricsSnapshot m = h.metrics();
+  const obs::MetricsSnapshot m = sim.harvest_metrics();
   EXPECT_DOUBLE_EQ(m.get("obs.conflict_edges", -1.0),
                    static_cast<double>(edges));
 }
@@ -218,40 +214,40 @@ TEST(ChromeTraceTest, ExportShapeAndWriteRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---- api facade -------------------------------------------------------------
+// ---- scheme spellings --------------------------------------------------------
 
-TEST(ApiFacadeTest, SchemeStringRoundTrip) {
+TEST(SchemeTableTest, FromStringRoundTripsBothSpellings) {
   for (const auto& row : sim::scheme_table()) {
-    EXPECT_EQ(api::SimBuilder().scheme(row.cli_name).config().scheme,
-              row.scheme);
-    EXPECT_EQ(api::SimBuilder().scheme(row.name).config().scheme, row.scheme);
-    sim::Scheme parsed{};
-    EXPECT_TRUE(sim::scheme_from_string(row.cli_name, &parsed));
-    EXPECT_EQ(parsed, row.scheme);
+    EXPECT_EQ(sim::scheme_from_string(row.cli_name), row.scheme);
+    EXPECT_EQ(sim::scheme_from_string(row.name), row.scheme);
   }
-  EXPECT_THROW(api::SimBuilder().scheme("not-a-scheme"),
-               std::invalid_argument);
 }
 
-TEST(ApiFacadeTest, UntracedHandleExportsNothing) {
-  api::RunHandle h = api::SimBuilder().scheme(sim::Scheme::kLogTmSe).build();
-  h.poke_word(0x100, 42);
-  EXPECT_EQ(h.word(0x100), 42u);
-  EXPECT_TRUE(h.trace().events.empty());
-  EXPECT_FALSE(h.write_trace(::testing::TempDir() + "never_written.json"));
+TEST(SchemeTableTest, FromStringRejectsUnknownNameListingValidOnes) {
+  try {
+    sim::scheme_from_string("not-a-scheme");
+    FAIL() << "unknown scheme accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("not-a-scheme"), std::string::npos) << what;
+    for (const auto& row : sim::scheme_table()) {
+      EXPECT_NE(what.find(row.cli_name), std::string::npos) << what;
+    }
+  }
 }
 
-TEST(ApiFacadeTest, ResultMatchesHarness) {
-  if (!obs::kHooksCompiled) GTEST_SKIP() << "obs hooks compiled out";
-  stamp::SuiteParams params;
-  params.scale = 0.1;
-  const api::SimBuilder b =
-      api::SimBuilder().scheme(sim::Scheme::kSuv).metrics(true);
-  const runner::RunResult via_api = b.run(stamp::AppId::kKmeans, params);
-  const runner::RunResult via_harness =
-      runner::run_app(stamp::AppId::kKmeans, b.config(), params);
-  EXPECT_EQ(via_api, via_harness);
-  EXPECT_FALSE(via_api.metrics.empty());
+// ---- untraced simulator -----------------------------------------------------
+
+TEST(SimulatorObsTest, UntracedRunExportsNothing) {
+  sim::SimConfig cfg;
+  cfg.scheme = sim::Scheme::kLogTmSe;
+  cfg.obs.trace = false;
+  cfg.obs.metrics = false;
+  sim::Simulator sim(cfg);
+  sim.poke_word(0x100, 42);
+  EXPECT_EQ(sim.read_word_resolved(0x100), 42u);
+  EXPECT_TRUE(sim.take_trace().events.empty());
+  EXPECT_TRUE(sim.harvest_metrics().empty());
 }
 
 // ---- shared Cli -------------------------------------------------------------

@@ -179,13 +179,10 @@ TEST(SchedulerPropertyTest, TrimReleasesSlotPoolAfterBurst) {
   EXPECT_EQ(order, want);
 }
 
-TEST(SchedulerPropertyTest, SchedulingIntoPastThrowsInCheckBuilds) {
+TEST(SchedulerPropertyTest, SchedulingIntoPastThrows) {
   // The binary heap merely mis-ordered a past-time event; the wheel would
-  // mis-bucket it a full window late. SUVTM_CHECK builds promote the debug
-  // assert to a release-mode throw -- mutation-test it here.
-  if constexpr (!check::kHooksCompiled) {
-    GTEST_SKIP() << "check hooks not compiled into this build";
-  }
+  // mis-bucket it a full window late, so the guard throws in every build --
+  // mutation-test it here.
   Scheduler s;
   s.at(50, [] {});
   EXPECT_TRUE(s.run(100));

@@ -3,6 +3,10 @@
 // isolation and determinism guarantees.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "sim/simulator.hpp"
 #include "stamp/framework.hpp"
 #include "vm/suv_vm.hpp"
@@ -259,6 +263,80 @@ TEST(SimulatorTest, SuvLeavesNoTransientEntriesBehind) {
   const Addr r1 = suvvm->debug_resolve(0, counter);
   const Addr r2 = suvvm->debug_resolve(7, counter);
   EXPECT_EQ(r1, r2);
+}
+
+// The runtime switches are the only gates: every domain carries a checker
+// exactly when check.enabled is set, and a recorder exactly when trace or
+// metrics is. All three are set explicitly so the SUVTM_CHECK /
+// SUVTM_TRACE / SUVTM_METRICS environment defaults cannot flip them.
+TEST(SimulatorTest, RuntimeSwitchesAloneGateCheckerAndRecorder) {
+  struct Gates {
+    bool check, trace, metrics;
+  };
+  for (std::uint32_t shards : {1u, 4u}) {
+    for (const Gates g : {Gates{false, false, false}, Gates{true, false, false},
+                          Gates{false, true, false}, Gates{false, false, true}}) {
+      sim::SimConfig cfg = config_for(Scheme::kSuv);
+      cfg.pdes.shards = shards;
+      cfg.check.enabled = g.check;
+      cfg.obs.trace = g.trace;
+      cfg.obs.metrics = g.metrics;
+      sim::Simulator sim(cfg);
+      ASSERT_EQ(sim.num_domains(), shards);
+      for (std::uint32_t d = 0; d < shards; ++d) {
+        SCOPED_TRACE(testing::Message()
+                     << "shards " << shards << " domain " << d << " check "
+                     << g.check << " trace " << g.trace << " metrics "
+                     << g.metrics);
+        EXPECT_EQ(sim.checker(d) != nullptr, g.check);
+        EXPECT_EQ(sim.recorder(d) != nullptr, g.trace || g.metrics);
+      }
+    }
+  }
+}
+
+TEST(SimConfigValidateTest, AcceptsTableIIIAndLargestMachine) {
+  EXPECT_NO_THROW(sim::SimConfig{}.validate());
+  sim::SimConfig cfg;
+  cfg.mem.num_cores = 64;
+  cfg.mem.mesh_dim = 8;
+  cfg.pdes.shards = 4;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+// Each value below would trip a component assert, divide by zero or write
+// out of bounds; the Simulator rejects it up front, naming the field.
+TEST(SimConfigValidateTest, SimulatorRejectsEachUnmodellableField) {
+  using Mutate = void (*)(sim::SimConfig&);
+  const std::pair<const char*, Mutate> cases[] = {
+      {"mem.num_cores", [](sim::SimConfig& c) { c.mem.num_cores = 65; }},
+      {"htm.signature_bits",
+       [](sim::SimConfig& c) { c.htm.signature_bits = 1000; }},
+      {"suv.summary_signature_bits",
+       [](sim::SimConfig& c) { c.suv.summary_signature_bits = 0; }},
+      {"htm.signature_hashes",
+       [](sim::SimConfig& c) { c.htm.signature_hashes = 0; }},
+      {"suv.summary_signature_hashes",
+       [](sim::SimConfig& c) { c.suv.summary_signature_hashes = 9; }},
+      {"mem.l1_assoc", [](sim::SimConfig& c) { c.mem.l1_assoc = 0; }},
+      {"mem.l1_bytes", [](sim::SimConfig& c) { c.mem.l1_bytes = 3 * 1024; }},
+      {"mem.l2_assoc", [](sim::SimConfig& c) { c.mem.l2_assoc = 0; }},
+      {"mem.l2_bytes", [](sim::SimConfig& c) { c.mem.l2_bytes = 0; }},
+      {"mem.mesh_dim", [](sim::SimConfig& c) { c.mem.mesh_dim = 0; }},
+      {"pdes.shards", [](sim::SimConfig& c) { c.pdes.shards = 3; }},
+  };
+  for (const auto& [field, mutate] : cases) {
+    SCOPED_TRACE(field);
+    sim::SimConfig cfg;
+    mutate(cfg);
+    EXPECT_THROW(sim::Simulator{cfg}, std::invalid_argument);
+    try {
+      cfg.validate();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -16,9 +16,9 @@ import re
 from engine import Rule
 
 # src/check joined the hot set when its recording path went arena-based:
-# the SUVTM_CHECK hooks sit on every simulated memory access, so the same
-# no-node-containers / no-allocation-in-loop / no-std::function discipline
-# applies there as in the simulator core.
+# the SUVTM_CHECK_HOOK sites sit on every simulated memory access, so the
+# same no-node-containers / no-allocation-in-loop / no-std::function
+# discipline applies there as in the simulator core.
 HOT_DIRS = ("src/mem", "src/sim", "src/htm", "src/suv", "src/check")
 
 _NODE_CONTAINERS = re.compile(
