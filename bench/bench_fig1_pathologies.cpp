@@ -17,9 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
-#include "runner/parallel.hpp"
 #include "runner/tables.hpp"
 
 using namespace suvtm;
@@ -54,14 +52,10 @@ sim::ThreadTask contender(sim::ThreadContext& tc, const Scenario& s,
   co_await tc.barrier(*s.bar);
 }
 
-struct ScenarioResult {
-  std::string line;
-  std::uint64_t events = 0;
-  obs::TraceData trace;
-  obs::MetricsSnapshot metrics;
-};
-
-ScenarioResult run_scenario(sim::Scheme scheme, const runner::Cli& cli) {
+// Fills only what the scenario line and the report read; the metrics are
+// the raw registry, without harvest_result's derived rates.
+runner::RunResult run_scenario(sim::Scheme scheme, const runner::Cli& cli,
+                               obs::TraceData* trace) {
   sim::SimConfig cfg;
   cfg.scheme = scheme;
   cli.apply(cfg);
@@ -74,8 +68,20 @@ ScenarioResult run_scenario(sim::Scheme scheme, const runner::Cli& cli) {
     sim.spawn(c, contender(sim.context(c), s, 24));
   }
   sim.run();
-  const auto b = sim.total_breakdown();
-  const htm::HtmStats ht = sim.total_htm_stats();
+  runner::RunResult r;
+  r.scheme = scheme;
+  r.makespan = sim.makespan();
+  r.sim_events = sim.events_processed();
+  r.breakdown = sim.total_breakdown();
+  r.htm = sim.total_htm_stats();
+  if (cli.metrics) r.metrics = sim.harvest_metrics();
+  if (trace != nullptr) *trace = sim.take_trace();
+  return r;
+}
+
+std::string scenario_line(const runner::RunResult& r) {
+  const sim::Breakdown& b = r.breakdown;
+  const htm::HtmStats& ht = r.htm;
   const double abort_window =
       ht.aborts ? static_cast<double>(b.get(sim::Bucket::kAborting)) /
                       static_cast<double>(ht.aborts)
@@ -88,17 +94,12 @@ ScenarioResult run_scenario(sim::Scheme scheme, const runner::Cli& cli) {
   std::snprintf(buf, sizeof(buf),
                 "%-10s makespan=%9llu aborts=%6llu  isolation window per "
                 "abort=%7.1f cy  per commit=%6.1f cy  stalled=%llu",
-                sim::scheme_name(scheme),
-                static_cast<unsigned long long>(sim.makespan()),
+                sim::scheme_name(r.scheme),
+                static_cast<unsigned long long>(r.makespan),
                 static_cast<unsigned long long>(ht.aborts), abort_window,
                 commit_window,
                 static_cast<unsigned long long>(b.get(sim::Bucket::kStalled)));
-  ScenarioResult out;
-  out.line = buf;
-  out.events = sim.scheduler().events_processed();
-  if (cli.tracing()) out.trace = sim.take_trace();
-  if (cli.metrics) out.metrics = sim.harvest_metrics();
-  return out;
+  return buf;
 }
 
 }  // namespace
@@ -111,48 +112,22 @@ int main(int argc, char** argv) {
               "directly.\n\n");
   const auto& schemes = sim::all_schemes();
   // Each scenario is an independent simulator: fan the five schemes across
-  // the pool and print the collected lines in scheme order.
-  runner::ParallelExecutor exec(cli.jobs);
-  runner::WallTimer timer;
-  std::vector<ScenarioResult> results(schemes.size());
-  exec.run_indexed(schemes.size(), [&](std::size_t i) {
-    results[i] = run_scenario(schemes[i], cli);
-  });
-  const double wall_s = timer.seconds();
-  std::uint64_t events = 0;
-  for (const auto& r : results) {
-    std::printf("%s\n", r.line.c_str());
-    events += r.events;
+  // host threads and print the collected lines in scheme order.
+  std::vector<std::string> names;
+  for (sim::Scheme s : schemes) {
+    names.push_back(std::string("pathology/") + sim::scheme_cli_name(s));
   }
+  runner::BenchReport report("fig1_pathologies");
+  const auto results = cli.run_matrix(
+      schemes.size(),
+      [&](std::size_t i, obs::TraceData* trace) {
+        return run_scenario(schemes[i], cli, trace);
+      },
+      names, report);
+  for (const auto& r : results) std::printf("%s\n", scenario_line(r).c_str());
   std::printf("\nexpected: LogTM-SE's per-abort window (software log walk) "
               "dwarfs FasTM's flash\ninvalidate and SUV's flash flip; DynTM's "
               "per-commit window (lazy publication)\ndwarfs DynTM+SUV's.\n");
-
-  runner::BenchReport report("fig1_pathologies");
-  if (cli.tracing()) {
-    std::vector<obs::NamedTrace> named;
-    named.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      named.push_back({std::string("pathology/") +
-                           sim::scheme_cli_name(schemes[i]),
-                       &results[i].trace});
-    }
-    if (obs::write_chrome_trace(cli.trace_path, named)) {
-      std::printf("trace written to %s (open in ui.perfetto.dev)\n",
-                  cli.trace_path.c_str());
-    }
-  }
-  if (cli.metrics) {
-    obs::MetricsSnapshot merged;
-    for (const auto& r : results) obs::merge(merged, r.metrics);
-    report.set_metrics(merged, "metrics.");
-  }
-  report.set("jobs", exec.jobs());
-  report.set("runs", static_cast<std::uint64_t>(results.size()));
-  report.set("wall_seconds", wall_s);
-  report.set("sim_events", events);
-  report.set("events_per_sec",
-             wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
   report.write();
   return 0;
 }

@@ -43,16 +43,12 @@ int main(int argc, char** argv) {
                       stamp::app_name(app));
     }
   }
-  runner::WallTimer timer;
-  const auto flat = runner::run_matrix_cli(points, names, cli, report);
-  const double wall_s = timer.seconds();
+  const auto flat = cli.run_matrix(points, names, report);
 
   std::map<sim::Scheme, std::vector<runner::RunResult>> results;
   std::size_t idx = 0;
-  std::uint64_t events = 0;
   for (sim::Scheme s : schemes) {
     for (std::size_t a = 0; a < stamp::all_apps().size(); ++a) {
-      events += flat[idx].sim_events;
       results[s].push_back(flat[idx++]);
     }
   }
@@ -110,13 +106,7 @@ int main(int argc, char** argv) {
   std::printf("  SUV-TM over FasTM,    high-contention : %+.1f%%   (paper: +12%%)\n",
               100.0 * (runner::geomean_speedup(fastm, suvtm_r, true) - 1.0));
 
-  report.set("jobs", cli.jobs);
   report.set("scale", params.scale);
-  report.set("runs", static_cast<std::uint64_t>(points.size()));
-  report.set("wall_seconds", wall_s);
-  report.set("sim_events", events);
-  report.set("events_per_sec",
-             wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
   report.set("suv_vs_logtm_all",
              runner::geomean_speedup(logtm, suvtm_r, false));
   report.set("suv_vs_logtm_high",

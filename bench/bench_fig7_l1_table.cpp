@@ -15,7 +15,6 @@ using namespace suvtm;
 
 int main(int argc, char** argv) {
   const runner::Cli cli = runner::Cli::parse(argc, argv);
-  const unsigned jobs = cli.jobs;
   stamp::SuiteParams params;
   params.scale = cli.scale_or(params.scale);
   runner::BenchReport report("fig7_l1_table");
@@ -46,9 +45,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  runner::WallTimer timer;
-  const auto flat = runner::run_matrix_cli(points, names, cli, report);
-  const double wall_s = timer.seconds();
+  const auto flat = cli.run_matrix(points, names, report);
 
   std::vector<double> exec(std::size(sizes), 0.0);
   std::vector<double> miss(std::size(sizes), 0.0);
@@ -78,15 +75,7 @@ int main(int argc, char** argv) {
               "flattens;\nexecution time improves little beyond 512 "
               "(paper Figure 7).\n");
 
-  std::uint64_t events = 0;
-  for (const auto& r : flat) events += r.sim_events;
-  report.set("jobs", jobs);
   report.set("scale", params.scale);
-  report.set("runs", static_cast<std::uint64_t>(flat.size()));
-  report.set("wall_seconds", wall_s);
-  report.set("sim_events", events);
-  report.set("events_per_sec",
-             wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
   report.write();
   return 0;
 }

@@ -49,7 +49,6 @@ std::uint64_t pop_total(const std::vector<runner::RunResult>& flat,
 
 int main(int argc, char** argv) {
   const runner::Cli cli = runner::Cli::parse(argc, argv);
-  const unsigned jobs = cli.jobs;
   stamp::SuiteParams params;
   params.scale = cli.scale_or(params.scale);
   runner::BenchReport report("fig8_l2_table");
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
   const std::uint32_t sizes[] = {2048, 4096, 8192, 16384, 32768, 65536};
   const Cycle lats[] = {0, 5, 10, 20, 40};
 
-  // Both sweeps in one flat batch so the pool never drains between them.
+  // Both sweeps in one flat matrix so no host thread idles between them.
   std::vector<runner::RunPoint> points;
   std::vector<std::string> names;
   for (std::uint32_t s : sizes) {
@@ -76,9 +75,7 @@ int main(int argc, char** argv) {
     push_config(points, names, (std::to_string(lat) + "cyc").c_str(), cfg,
                 params);
   }
-  runner::WallTimer timer;
-  const auto flat = runner::run_matrix_cli(points, names, cli, report);
-  const double wall_s = timer.seconds();
+  const auto flat = cli.run_matrix(points, names, report);
   std::size_t idx = 0;
 
   // (a) size sweep at the default 10-cycle latency.
@@ -123,15 +120,7 @@ int main(int argc, char** argv) {
               "time rises\nsharply past ~10 cycles while zero latency buys "
               "< 5%% (paper Figure 8).\n");
 
-  std::uint64_t events = 0;
-  for (const auto& r : flat) events += r.sim_events;
-  report.set("jobs", jobs);
   report.set("scale", params.scale);
-  report.set("runs", static_cast<std::uint64_t>(flat.size()));
-  report.set("wall_seconds", wall_s);
-  report.set("sim_events", events);
-  report.set("events_per_sec",
-             wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
   report.write();
   return 0;
 }

@@ -17,7 +17,6 @@ using namespace suvtm;
 
 int main(int argc, char** argv) {
   const runner::Cli cli = runner::Cli::parse(argc, argv);
-  const unsigned jobs = cli.jobs;
   stamp::SuiteParams params;
   params.scale = cli.scale_or(params.scale);
 
@@ -35,9 +34,7 @@ int main(int argc, char** argv) {
                       stamp::app_name(app));
     }
   }
-  runner::WallTimer timer;
-  const auto flat = runner::run_matrix_cli(points, names, cli, report);
-  const double wall_s = timer.seconds();
+  const auto flat = cli.run_matrix(points, names, report);
   const std::size_t napps = stamp::all_apps().size();
   const std::vector<runner::RunResult> d(flat.begin(), flat.begin() + napps);
   const std::vector<runner::RunResult> ds(flat.begin() + napps, flat.end());
@@ -86,16 +83,7 @@ int main(int argc, char** argv) {
   std::printf("  DynTM+SUV over DynTM, high-contention : %+.1f%%   (paper: +18.6%%)\n",
               100.0 * (runner::geomean_speedup(d, ds, true) - 1.0));
 
-  std::uint64_t events = 0;
-  for (const auto& r : d) events += r.sim_events;
-  for (const auto& r : ds) events += r.sim_events;
-  report.set("jobs", jobs);
   report.set("scale", params.scale);
-  report.set("runs", static_cast<std::uint64_t>(d.size() + ds.size()));
-  report.set("wall_seconds", wall_s);
-  report.set("sim_events", events);
-  report.set("events_per_sec",
-             wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
   report.set("dyntm_suv_vs_dyntm_all", runner::geomean_speedup(d, ds, false));
   report.set("dyntm_suv_vs_dyntm_high", runner::geomean_speedup(d, ds, true));
   report.write();

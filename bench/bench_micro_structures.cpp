@@ -538,23 +538,22 @@ void checker_overhead_report(runner::BenchReport& report, int rounds) {
   };
   const auto off_pts = matrix(false);
   const auto on_pts = matrix(true);
-  runner::ParallelExecutor serial(1);
   std::uint64_t events = 0;
-  for (const auto& r : runner::run_matrix(off_pts, serial)) {  // warm
+  for (const auto& r : runner::run_matrix(off_pts, 1)) {  // warm
     events += r.sim_events;
   }
-  runner::run_matrix(on_pts, serial);  // warm
+  runner::run_matrix(on_pts, 1);  // warm
   std::vector<double> ratios;
   double off_min = 1e300, on_min = 1e300;
   for (int r = 0; r < rounds; ++r) {
     const double t0 = cpu_seconds();
-    runner::run_matrix(off_pts, serial);
+    runner::run_matrix(off_pts, 1);
     const double t1 = cpu_seconds();
-    runner::run_matrix(on_pts, serial);
+    runner::run_matrix(on_pts, 1);
     const double t2 = cpu_seconds();
-    runner::run_matrix(on_pts, serial);
+    runner::run_matrix(on_pts, 1);
     const double t3 = cpu_seconds();
-    runner::run_matrix(off_pts, serial);
+    runner::run_matrix(off_pts, 1);
     const double t4 = cpu_seconds();
     const double off = (t1 - t0) + (t4 - t3);
     const double on = (t2 - t1) + (t3 - t2);

@@ -4,10 +4,10 @@
 // simulated cores).
 //
 // Part 1 runs the same scheme x app matrix twice -- --jobs 1 and --jobs N --
-// times both, and verifies the RunResults are bit-identical (the
-// ParallelExecutor determinism guarantee). Part 2 fans the cores x scheme x
-// app cross-product through the pool. A machine-readable summary lands in
-// BENCH_scaling.json.
+// times both, and verifies the RunResults are bit-identical (the runner's
+// determinism guarantee). Part 2 fans the cores x scheme x app
+// cross-product over --jobs host threads. A machine-readable summary lands
+// in BENCH_scaling.json.
 //
 // Usage: bench_scaling [scale] [--jobs N] [--smoke] [--check] [--no-check]
 //            [--trace out.json] [--metrics]
@@ -29,7 +29,6 @@
 #include <cstring>
 #include <string>
 
-#include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
 #include "runner/tables.hpp"
 #include "stamp/sharded_kv.hpp"
@@ -157,16 +156,14 @@ int main(int argc, char** argv) {
   std::printf("Part 1: scheme x app sweep (%zu runs, scale=%.2f), "
               "jobs=1 vs jobs=%u\n\n", points.size(), params.scale, jobs);
 
-  runner::ParallelExecutor serial(1);
+  std::vector<obs::TraceData> serial_traces;
   runner::WallTimer t1;
-  const auto serial_out = runner::run_matrix_traced(points, serial);
-  const auto& serial_results = serial_out.results;
+  const auto serial_results = runner::run_matrix(points, 1, &serial_traces);
   const double serial_s = t1.seconds();
 
-  runner::ParallelExecutor pool(jobs);
+  std::vector<obs::TraceData> pool_traces;
   runner::WallTimer tn;
-  const auto pool_out = runner::run_matrix_traced(points, pool);
-  const auto& pool_results = pool_out.results;
+  const auto pool_results = runner::run_matrix(points, jobs, &pool_traces);
   const double pool_s = tn.seconds();
 
   // Bit-identity must hold for the stats AND the observability outputs:
@@ -175,7 +172,7 @@ int main(int argc, char** argv) {
   bool identical = serial_results.size() == pool_results.size();
   for (std::size_t i = 0; identical && i < serial_results.size(); ++i) {
     identical = serial_results[i] == pool_results[i] &&
-                serial_out.traces[i] == pool_out.traces[i];
+                serial_traces[i] == pool_traces[i];
   }
 
   if (cli.tracing()) {
@@ -185,12 +182,9 @@ int main(int argc, char** argv) {
       named.push_back(
           {std::string(sim::scheme_cli_name(points[i].cfg.scheme)) + "/" +
                pool_results[i].app,
-           &pool_out.traces[i]});
+           &pool_traces[i]});
     }
-    if (obs::write_chrome_trace(cli.trace_path, named)) {
-      std::printf("trace written to %s (open in ui.perfetto.dev)\n\n",
-                  cli.trace_path.c_str());
-    }
+    if (cli.write_trace(named)) std::printf("\n");
   }
 
   const std::uint64_t events = total_events(pool_results);
@@ -239,7 +233,7 @@ int main(int argc, char** argv) {
   const sim::Scheme schemes[] = {sim::Scheme::kLogTmSe, sim::Scheme::kFasTm,
                                  sim::Scheme::kSuv};
 
-  // Flatten cores x scheme x app into one matrix so the pool never drains
+  // Flatten cores x scheme x app into one matrix so no host thread idles
   // between table rows.
   std::vector<runner::RunPoint> all;
   for (std::uint32_t cores : core_counts) {
@@ -254,7 +248,7 @@ int main(int argc, char** argv) {
     }
   }
   runner::WallTimer t2;
-  const auto results = runner::run_matrix(all, pool);
+  const auto results = runner::run_matrix(all, jobs);
   const double part2_s = t2.seconds();
 
   std::printf("Part 2: suite-sum cycles per scheme and simulated core count "

@@ -5,6 +5,7 @@
 //
 // Usage: bench_table1_abort_ratios [scale] [--jobs N] [--check]
 //            [--trace out.json] [--metrics]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -15,7 +16,6 @@ using namespace suvtm;
 
 int main(int argc, char** argv) {
   const runner::Cli cli = runner::Cli::parse(argc, argv);
-  const unsigned jobs = cli.jobs;
   stamp::SuiteParams params;
   params.scale = cli.scale_or(params.scale);
   runner::BenchReport report("table1_abort_ratios");
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   for (sim::Scheme s : schemes) header.push_back(sim::scheme_name(s));
   rows.push_back(header);
 
-  // One flat scheme x app matrix so the pool never drains between schemes.
+  // One flat scheme x app matrix so no host thread idles between schemes.
   std::vector<runner::RunPoint> points;
   std::vector<std::string> names;
   for (sim::Scheme s : schemes) {
@@ -43,9 +43,7 @@ int main(int argc, char** argv) {
                       stamp::app_name(app));
     }
   }
-  runner::WallTimer timer;
-  const auto flat = runner::run_matrix_cli(points, names, cli, report);
-  const double wall_s = timer.seconds();
+  const auto flat = cli.run_matrix(points, names, report);
 
   std::vector<std::vector<runner::RunResult>> all;
   std::size_t idx = 0;
@@ -54,9 +52,10 @@ int main(int argc, char** argv) {
                      flat.begin() + idx + stamp::all_apps().size());
     idx += stamp::all_apps().size();
   }
+  const auto& hc = stamp::high_contention_apps();
   for (std::size_t i = 0; i < all[0].size(); ++i) {
     const bool high =
-        stamp::make_workload(stamp::all_apps()[i])->high_contention();
+        std::find(hc.begin(), hc.end(), stamp::all_apps()[i]) != hc.end();
     std::vector<std::string> row = {all[0][i].app, high ? "High" : "Low"};
     for (std::size_t s = 0; s < std::size(schemes); ++s) {
       row.push_back(
@@ -70,15 +69,7 @@ int main(int argc, char** argv) {
               "(Lee-TM/TransPlant) on STAMP-class workloads, motivating\n"
               "version management that is cheap on abort as well as commit.\n");
 
-  std::uint64_t events = 0;
-  for (const auto& r : flat) events += r.sim_events;
-  report.set("jobs", jobs);
   report.set("scale", params.scale);
-  report.set("runs", static_cast<std::uint64_t>(flat.size()));
-  report.set("wall_seconds", wall_s);
-  report.set("sim_events", events);
-  report.set("events_per_sec",
-             wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
   report.write();
   return 0;
 }

@@ -4,6 +4,7 @@
 //
 // Usage: bench_table4_workloads [scale] [--jobs N] [--check]
 //            [--trace out.json] [--metrics]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -14,7 +15,6 @@ using namespace suvtm;
 
 int main(int argc, char** argv) {
   const runner::Cli cli = runner::Cli::parse(argc, argv);
-  const unsigned jobs = cli.jobs;
   stamp::SuiteParams params;
   params.scale = cli.scale_or(params.scale);
   runner::BenchReport report("table4_workloads");
@@ -27,15 +27,14 @@ int main(int argc, char** argv) {
     points.push_back(runner::RunPoint{app, cfg, params});
     names.push_back(std::string("suv/") + stamp::app_name(app));
   }
-  runner::WallTimer timer;
-  const auto results = runner::run_matrix_cli(points, names, cli, report);
-  const double wall_s = timer.seconds();
+  const auto results = cli.run_matrix(points, names, report);
 
   std::printf("Table IV analogue: measured workload characteristics "
               "(SUV-TM, scale=%.2f)\n\n", params.scale);
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"app", "commits", "avg tx length (cycles)",
                   "tx stores/commit", "abort ratio", "contention (paper)"});
+  const auto& hc = stamp::high_contention_apps();
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     const double len = r.htm.commits
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
                             static_cast<double>(r.htm.commits + r.htm.aborts)
                       : 0.0;
     const bool high =
-        stamp::make_workload(stamp::all_apps()[i])->high_contention();
+        std::find(hc.begin(), hc.end(), points[i].app) != hc.end();
     rows.push_back({r.app, runner::fmt_u64(r.htm.commits),
                     runner::fmt_fixed(len, 0), runner::fmt_fixed(stores, 1),
                     runner::fmt_fixed(100.0 * r.htm.abort_ratio(), 1) + "%",
@@ -60,15 +59,7 @@ int main(int argc, char** argv) {
               "bayes 43K < labyrinth 317K; the measured\ncycle lengths should "
               "preserve that ordering.\n");
 
-  std::uint64_t events = 0;
-  for (const auto& r : results) events += r.sim_events;
-  report.set("jobs", jobs);
   report.set("scale", params.scale);
-  report.set("runs", static_cast<std::uint64_t>(results.size()));
-  report.set("wall_seconds", wall_s);
-  report.set("sim_events", events);
-  report.set("events_per_sec",
-             wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
   report.write();
   return 0;
 }

@@ -15,7 +15,6 @@ using namespace suvtm;
 
 int main(int argc, char** argv) {
   const runner::Cli cli = runner::Cli::parse(argc, argv);
-  const unsigned jobs = cli.jobs;
   stamp::SuiteParams params;
   params.scale = cli.scale_or(params.scale);
   runner::BenchReport report("table5_overflows");
@@ -36,9 +35,7 @@ int main(int argc, char** argv) {
                       stamp::app_name(app));
     }
   }
-  runner::WallTimer timer;
-  const auto results = runner::run_matrix_cli(points, names, cli, report);
-  const double wall_s = timer.seconds();
+  const auto results = cli.run_matrix(points, names, report);
 
   std::printf("Table V: overflow statistics for the coarse-grained "
               "applications (scale=%.2f)\n\n", params.scale);
@@ -69,15 +66,7 @@ int main(int argc, char** argv) {
               "overflow and its redirect-table\noverflows are rare (only the "
               "occasional huge write-set exceeds 512 entries).\n");
 
-  std::uint64_t events = 0;
-  for (const auto& r : results) events += r.sim_events;
-  report.set("jobs", jobs);
   report.set("scale", params.scale);
-  report.set("runs", static_cast<std::uint64_t>(results.size()));
-  report.set("wall_seconds", wall_s);
-  report.set("sim_events", events);
-  report.set("events_per_sec",
-             wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
   report.write();
   return 0;
 }

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
 #include "sim/simulator.hpp"
 #include "stamp/framework.hpp"
@@ -102,10 +101,8 @@ int main(int argc, char** argv) {
     std::vector<obs::NamedTrace> named;
     named.reserve(traces.size());
     for (const auto& [name, data] : traces) named.push_back({name, &data});
-    if (obs::write_chrome_trace(cli.trace_path, named)) {
-      std::printf("\ntrace written to %s (open in ui.perfetto.dev)\n",
-                  cli.trace_path.c_str());
-    }
+    std::printf("\n");
+    cli.write_trace(named);
   }
   std::printf("\nreading guide: with few counters every scheme serializes, "
               "but LogTM-SE's\nsoftware abort walks hold isolation longest; "

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
 #include "runner/experiment.hpp"
 #include "sim/simulator.hpp"
@@ -103,15 +102,8 @@ int main(int argc, char** argv) {
   }
   if (cli.tracing()) {
     const obs::TraceData trace = sim.take_trace();
-    if (obs::write_chrome_trace(cli.trace_path,
-                                {{std::string("quickstart/") + scheme,
-                                  &trace}})) {
-      std::printf("\ntrace written to %s (open in ui.perfetto.dev)\n",
-                  cli.trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "quickstart: could not write %s\n",
-                   cli.trace_path.c_str());
-    }
+    std::printf("\n");
+    cli.write_trace({{std::string("quickstart/") + scheme, &trace}});
   }
 
   if (got != expect || hot != expect) {

@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
 #include "runner/experiment.hpp"
 #include "runner/tables.hpp"
@@ -149,16 +148,9 @@ int main(int argc, char** argv) {
     }
   }
   if (cli.tracing()) {
-    const std::string label =
-        r.app + "/" + sim::scheme_name(r.scheme);
-    if (obs::write_chrome_trace(cli.trace_path, {{label, &trace}})) {
-      std::printf("\ntrace written to %s (open in ui.perfetto.dev)\n",
-                  cli.trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "stamp_explorer: could not write %s\n",
-                   cli.trace_path.c_str());
-      return 1;
-    }
+    const std::string label = r.app + "/" + sim::scheme_name(r.scheme);
+    std::printf("\n");
+    if (!cli.write_trace({{label, &trace}})) return 1;
   }
   return 0;
 }

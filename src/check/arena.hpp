@@ -73,7 +73,6 @@ class ArenaPool {
   void release(RecPage* p) { free_.push_back(p); }
 
   std::size_t pages_allocated() const { return all_.size(); }
-  std::size_t pages_free() const { return free_.size(); }
 
  private:
   std::vector<std::unique_ptr<RecPage>> all_;
@@ -244,15 +243,6 @@ class ShadowStore {
     }
     *expect = p.val[i];
     return p.val[i] == observed;
-  }
-
-  /// Was this word ever target of a replayed (committed/non-transactional)
-  /// write? Words only read-defined report false.
-  bool written(Addr a) const {
-    const Page* p = pages_.find(a / kPageBytes);
-    if (p == nullptr) return false;
-    const std::uint32_t i = word_index(a);
-    return (p->written[i >> 6] & (1ull << (i & 63))) != 0;
   }
 
   /// Visit every defined word in ascending address order as

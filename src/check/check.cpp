@@ -7,7 +7,7 @@
 #include "check/format.hpp"
 #include "mem/memory_system.hpp"
 #include "sim/config.hpp"
-#include "vm/dyntm.hpp"
+#include "sim/simulator.hpp"
 #include "vm/suv_vm.hpp"
 
 namespace suvtm::check {
@@ -16,20 +16,11 @@ namespace {
 
 constexpr std::size_t kMaxViolations = 64;
 
-vm::SuvVm* find_suv_backend(htm::HtmSystem& htm) {
-  htm::VersionManager* v = &htm.vm();
-  if (auto* s = dynamic_cast<vm::SuvVm*>(v)) return s;
-  if (auto* d = dynamic_cast<vm::DynTm*>(v)) {
-    return dynamic_cast<vm::SuvVm*>(&d->inner());
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 Checker::Checker(const sim::SimConfig& cfg, mem::MemorySystem& mem,
                  htm::HtmSystem& htm)
-    : cfg_(cfg), mem_(mem), htm_(htm), suv_(find_suv_backend(htm)),
+    : cfg_(cfg), mem_(mem), htm_(htm), suv_(sim::suv_backend(htm.vm())),
       oracle_(htm.num_cores(), cfg.check.reference) {}
 
 void Checker::on_run_start() {

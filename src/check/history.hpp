@@ -100,9 +100,6 @@ class HistoryOracle {
   /// Model memory after finalize(), materialized as a word -> value table:
   /// the serial-replay value of every word any committed access touched.
   FlatMap<Addr, std::uint64_t> replay_image() const;
-  /// Was this word the target of any replayed committed write? (Words only
-  /// ever read report false.) Valid after finalize().
-  bool replay_written(Addr word) const { return shadow_.written(word); }
   /// Page-granular view of the replay image's written bits (nullptr when
   /// the page saw no replayed access); lets the checker's image sweep test
   /// a whole page's words without per-word map probes.

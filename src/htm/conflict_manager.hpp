@@ -164,10 +164,6 @@ class ConflictManager {
 
   const ConflictStats& stats() const { return stats_; }
 
-  /// Cores whose transaction currently holds isolation (the checker's
-  /// grant audit short-circuits when nobody else does).
-  std::uint64_t isolation_mask() const { return isolation_mask_; }
-
   /// Candidate mask the latest check() computed (columns AND isolation,
   /// requester excluded) and whether suspended summaries could have hit.
   /// Valid only inside the event that issued the check: the checker's

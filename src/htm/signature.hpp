@@ -52,7 +52,6 @@ class Signature {
   /// manager's bit-sliced columns after a wholesale signature restore.
   const std::vector<std::uint64_t>& words() const { return words_; }
   std::uint32_t bits() const { return bits_; }
-  std::uint32_t num_hashes() const { return k_; }
   /// Number of set bits (occupancy; used in tests and saturation stats).
   std::uint32_t popcount() const;
 

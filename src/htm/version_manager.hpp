@@ -78,27 +78,23 @@ class VersionManager {
   /// Transaction (outermost) begin; returns extra begin cycles.
   virtual Cycle on_begin(Txn&) { return 0; }
 
-  /// Resolve an address for a LOAD or a non-transactional access. `txn` is
-  /// nullptr for non-transactional accesses (strong isolation: those still
-  /// consult SUV's redirect table).
+  /// Resolve the address of a transactional LOAD or of any
+  /// non-transactional access, load or store. `txn` is nullptr for
+  /// non-transactional accesses (strong isolation: those still consult
+  /// SUV's redirect table).
   virtual LoadAction resolve_load(CoreId core, Txn* txn, Addr a) = 0;
 
-  /// True when resolve_load / resolve_nontx_store are the identity action
-  /// ({a, 0, 0, no buffer}) for EVERY access: in-place schemes (LogTM-SE,
-  /// FasTM) never redirect or buffer loads. The per-access hot path uses
-  /// this to skip the virtual resolution call entirely; schemes that
-  /// redirect (SUV) or buffer (DynTM lazy mode) leave it false.
+  /// True when resolve_load is the identity action ({a, 0, 0, no buffer})
+  /// for EVERY access: in-place schemes (LogTM-SE, FasTM) never redirect or
+  /// buffer loads. The per-access hot path uses this to skip the virtual
+  /// resolution call entirely; schemes that redirect (SUV) or buffer (DynTM
+  /// lazy mode) leave it false.
   bool loads_in_place() const { return loads_in_place_; }
 
   /// Transactional store bookkeeping: returns where the data goes and the
   /// extra cycles the scheme spends (log writes, redirection, ...). The
   /// functional old-value capture for rollback happens in here too.
   virtual StoreAction on_tx_store(Txn& txn, Addr a) = 0;
-
-  /// Resolve a NON-transactional store's target address.
-  virtual LoadAction resolve_nontx_store(CoreId core, Addr a) {
-    return resolve_load(core, nullptr, a);
-  }
 
   /// An L1 line carrying speculative transactional state was evicted while
   /// `txn` ran (FasTM degenerates here; others just count the overflow).

@@ -1,15 +1,17 @@
-// Shared bench/example command-line handling. Every harness used to
-// hand-roll the same strip loop for --jobs/--smoke/--check; Cli centralises
-// that and adds the observability switches (--trace <path>, --metrics)
-// uniformly. parse() mutates argc/argv, removing what it consumed, so
-// harness-specific parsing (positional csv lists, scheme names) sees a
-// clean argument vector afterwards.
+// The one bench/example front end: one argv pass for --jobs, --sim-threads
+// and the shared switches (--smoke, --check, --trace <path>, --metrics),
+// one bench sweep that times the runs and writes the common report keys,
+// and one trace writer. parse() mutates argc/argv, removing what it
+// consumed, so harness-specific parsing (positional csv lists, scheme
+// names) sees a clean argument vector afterwards.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "obs/chrome_trace.hpp"
 #include "runner/bench_report.hpp"
 #include "runner/experiment.hpp"
 #include "sim/config.hpp"
@@ -17,7 +19,9 @@
 namespace suvtm::runner {
 
 struct Cli {
-  unsigned jobs = 0;       ///< resolved --jobs value (also set as default)
+  /// Host threads for a sweep: --jobs N / --jobs=N, else SUVTM_JOBS, else
+  /// the host's hardware concurrency.
+  unsigned jobs = 0;
   /// --sim-threads N / SUVTM_SIM_THREADS: host threads driving one sharded
   /// simulation's domain schedulers (0 = not requested; leaves configs
   /// untouched). Purely an execution knob -- results are bit-identical at
@@ -38,8 +42,7 @@ struct Cli {
   std::vector<std::string> args;   ///< remaining positionals, in order
 
   /// Parse and strip the shared flags plus all positionals from argv.
-  /// Unknown --flags stay in argv for harness-specific parsing. Sizes the
-  /// process-wide default executor to `jobs`.
+  /// Unknown --flags stay in argv for harness-specific parsing.
   static Cli parse(int& argc, char** argv);
 
   bool tracing() const { return !trace_path.empty(); }
@@ -53,17 +56,29 @@ struct Cli {
   /// cfg.obs.metrics, --trace -> cfg.obs.trace, --sim-threads ->
   /// cfg.pdes.host_threads (only when given).
   void apply(sim::SimConfig& cfg) const;
-};
 
-/// Bench-side uniform handling of the shared switches for one run matrix:
-/// applies the Cli switches to every point's config and runs the matrix on
-/// the process-wide default executor. With --trace, the combined
-/// Chrome-trace JSON (one trace "process" per point, labelled `names[i]`)
-/// is written to cli.trace_path; with --metrics, the matrix's summed
-/// metrics land in `report` under "metrics." keys. Results come back in
-/// submission order either way.
-std::vector<RunResult> run_matrix_cli(std::vector<RunPoint> points,
-                                      const std::vector<std::string>& names,
-                                      const Cli& cli, BenchReport& report);
+  /// Write `traces` as one Chrome-trace JSON file at trace_path and say so
+  /// on stdout; on failure, warn on stderr and return false.
+  bool write_trace(const std::vector<obs::NamedTrace>& traces) const;
+
+  /// One simulation of a bench sweep: run index `i`, moving its event trace
+  /// into `*trace` when `trace` is non-null.
+  using RunFn = std::function<RunResult(std::size_t i, obs::TraceData* trace)>;
+
+  /// The bench sweep: runs `n` simulations over `jobs` host threads and
+  /// times them. With --trace, writes every run's trace, labelled
+  /// `names[i]` ("run" past its end); with --metrics, merges the runs'
+  /// metrics into `report` under "metrics."; then sets the report's jobs,
+  /// runs, wall_seconds, sim_events and events_per_sec. Results come back
+  /// in index order.
+  std::vector<RunResult> run_matrix(std::size_t n, const RunFn& run,
+                                    const std::vector<std::string>& names,
+                                    BenchReport& report) const;
+  /// The same sweep over `points`, each run with the shared switches
+  /// applied to its config.
+  std::vector<RunResult> run_matrix(std::vector<RunPoint> points,
+                                    const std::vector<std::string>& names,
+                                    BenchReport& report) const;
+};
 
 }  // namespace suvtm::runner

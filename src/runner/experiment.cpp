@@ -1,6 +1,10 @@
 #include "runner/experiment.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <thread>
 #include <unordered_set>
 
 #include "sim/simulator.hpp"
@@ -61,14 +65,14 @@ RunResult harvest_result(sim::Simulator& sim, std::string app_name,
     accumulate(r.vm, sim.htm(d).vm().stats());
     accumulate(r.mem, sim.mem(d).stats());
 
-    // Scheme-specific stats: SUV directly, or via DynTM's backend.
-    htm::VersionManager* vmgr = &sim.htm(d).vm();
-    if (auto* dyn = dynamic_cast<vm::DynTm*>(vmgr)) {
+    // Scheme-specific stats: DynTM's own, and SUV's directly or via
+    // DynTM's backend.
+    htm::VersionManager& vmgr = sim.htm(d).vm();
+    if (auto* dyn = dynamic_cast<vm::DynTm*>(&vmgr)) {
       r.has_dyntm = true;
       accumulate(r.dyntm, dyn->dyntm_stats());
-      vmgr = &dyn->inner();
     }
-    if (auto* suvvm = dynamic_cast<vm::SuvVm*>(vmgr)) {
+    if (vm::SuvVm* suvvm = sim::suv_backend(vmgr)) {
       r.has_suv = true;
       accumulate(r.table, suvvm->table().stats());
       accumulate(r.suv, suvvm->suv_stats());
@@ -102,51 +106,50 @@ RunResult run_app(stamp::AppId app, const sim::SimConfig& cfg,
   return harvest_result(sim, stamp::app_name(app), trace_out);
 }
 
-std::vector<RunResult> run_matrix(const std::vector<RunPoint>& points,
-                                  ParallelExecutor& exec) {
-  std::vector<RunResult> out(points.size());
-  exec.run_indexed(points.size(), [&](std::size_t i) {
-    out[i] = run_app(points[i].app, points[i].cfg, points[i].params);
-  });
-  return out;
-}
-
-std::vector<RunResult> run_matrix(const std::vector<RunPoint>& points) {
-  return run_matrix(points, default_executor());
-}
-
-MatrixTraces run_matrix_traced(const std::vector<RunPoint>& points,
-                               ParallelExecutor& exec) {
-  MatrixTraces out;
-  out.results.resize(points.size());
-  out.traces.resize(points.size());
-  exec.run_indexed(points.size(), [&](std::size_t i) {
-    out.results[i] =
-        run_app(points[i].app, points[i].cfg, points[i].params, &out.traces[i]);
-  });
-  return out;
-}
-
-MatrixTraces run_matrix_traced(const std::vector<RunPoint>& points) {
-  return run_matrix_traced(points, default_executor());
-}
-
-std::vector<RunResult> run_suite(sim::Scheme scheme, const sim::SimConfig& base,
-                                 const stamp::SuiteParams& params,
-                                 ParallelExecutor& exec) {
-  sim::SimConfig cfg = base;
-  cfg.scheme = scheme;
-  std::vector<RunPoint> points;
-  points.reserve(stamp::all_apps().size());
-  for (stamp::AppId app : stamp::all_apps()) {
-    points.push_back(RunPoint{app, cfg, params});
+void parallel_for(std::size_t n, unsigned jobs,
+                  const std::function<void(std::size_t)>& fn) {
+  std::vector<std::exception_ptr> errors(n);
+  const auto run = [&](std::size_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  const std::size_t threads = std::min<std::size_t>(jobs, n);
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < n; ++i) run(i);
+  } else {
+    std::atomic<std::size_t> next{0};
+    // jthreads join on destruction, so an exception while spawning still
+    // joins every thread already started before `next` and `errors` die.
+    std::vector<std::jthread> pool;
+    pool.reserve(threads);
+    for (std::size_t k = 0; k < threads; ++k) {
+      pool.emplace_back([&] {
+        for (;;) {
+          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+          if (i >= n) return;
+          run(i);
+        }
+      });
+    }
   }
-  return run_matrix(points, exec);
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
-std::vector<RunResult> run_suite(sim::Scheme scheme, const sim::SimConfig& base,
-                                 const stamp::SuiteParams& params) {
-  return run_suite(scheme, base, params, default_executor());
+std::vector<RunResult> run_matrix(const std::vector<RunPoint>& points,
+                                  unsigned jobs,
+                                  std::vector<obs::TraceData>* traces) {
+  std::vector<RunResult> out(points.size());
+  if (traces != nullptr) traces->assign(points.size(), obs::TraceData{});
+  parallel_for(points.size(), jobs, [&](std::size_t i) {
+    out[i] = run_app(points[i].app, points[i].cfg, points[i].params,
+                     traces != nullptr ? &(*traces)[i] : nullptr);
+  });
+  return out;
 }
 
 double geomean_speedup(const std::vector<RunResult>& base,

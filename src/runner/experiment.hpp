@@ -1,10 +1,12 @@
 // Experiment harness: runs one STAMP-like application under one
 // version-management scheme and collects everything the paper's tables and
-// figures report. Suites and config sweeps fan out across host cores via
-// runner/parallel.hpp; every run is an isolated Simulator, so results are
-// bit-identical at any jobs count.
+// figures report. A matrix of such runs fans out across host cores with
+// parallel_for; every run is an isolated Simulator that shares no mutable
+// state with its siblings, so results are bit-identical at any jobs count.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -14,7 +16,6 @@
 #include "mem/memory_system.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runner/parallel.hpp"
 #include "sim/breakdown.hpp"
 #include "sim/config.hpp"
 #include "stamp/framework.hpp"
@@ -78,30 +79,21 @@ RunResult run_app(stamp::AppId app, const sim::SimConfig& cfg,
                   const stamp::SuiteParams& params,
                   obs::TraceData* trace_out = nullptr);
 
-/// Run every point, fanned across `exec`, results in submission order.
+/// Run `fn(0)` .. `fn(n-1)` on min(jobs, n) host threads spawned and joined
+/// within the call; jobs <= 1 runs every index inline, in order. Threads
+/// claim indices in ascending order from a shared counter. Every index runs
+/// even when some throw; the exception of the lowest failing index is then
+/// rethrown.
+void parallel_for(std::size_t n, unsigned jobs,
+                  const std::function<void(std::size_t)>& fn);
+
+/// Run every point on `jobs` host threads; results in submission order.
+/// When `traces` is non-null it is resized to one trace per point (empty
+/// unless the point's cfg.obs.trace is set). Each run owns its own
+/// Recorder, so the traces are byte-stable across job counts.
 std::vector<RunResult> run_matrix(const std::vector<RunPoint>& points,
-                                  ParallelExecutor& exec);
-/// Same, on the process-wide default executor.
-std::vector<RunResult> run_matrix(const std::vector<RunPoint>& points);
-
-/// run_matrix plus per-point traces, both in submission order (traces are
-/// empty unless the point's cfg.obs.trace is set). Each run owns its own
-/// Recorder, so the traces are byte-stable across host job counts.
-struct MatrixTraces {
-  std::vector<RunResult> results;
-  std::vector<obs::TraceData> traces;
-};
-MatrixTraces run_matrix_traced(const std::vector<RunPoint>& points,
-                               ParallelExecutor& exec);
-MatrixTraces run_matrix_traced(const std::vector<RunPoint>& points);
-
-/// Run every STAMP app under one scheme, fanned across `exec`.
-std::vector<RunResult> run_suite(sim::Scheme scheme, const sim::SimConfig& base,
-                                 const stamp::SuiteParams& params,
-                                 ParallelExecutor& exec);
-/// Same, on the process-wide default executor.
-std::vector<RunResult> run_suite(sim::Scheme scheme, const sim::SimConfig& base,
-                                 const stamp::SuiteParams& params);
+                                  unsigned jobs,
+                                  std::vector<obs::TraceData>* traces = nullptr);
 
 /// Geometric-mean speedup of `test` over `base` across matching apps,
 /// optionally restricted to the paper's five high-contention apps.

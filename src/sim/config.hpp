@@ -123,16 +123,21 @@ struct SuvParams {
   Cycle flash_abort = 2;
 };
 
-/// True when the SUVTM_CHECK environment variable asks for checking (any
-/// value other than empty/"0"). Read once per process so the same binary
-/// serves both the plain and the `_checked` ctest variants.
+/// Env-var gate for the runtime switches: set (non-empty, not "0") means
+/// enabled. Reads the variable at every call, so each default-constructed
+/// ObsParams reads SUVTM_TRACE and SUVTM_METRICS afresh.
+inline bool env_flag(const char* var) {
+  // lint: allow(wallclock-entropy): deliberate config gate -- selects
+  // which subsystems run, never a simulated value
+  const char* e = std::getenv(var);
+  return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
+}
+
+/// True when the SUVTM_CHECK environment variable asks for checking
+/// (env_flag). Read once per process so the same binary serves both the
+/// plain and the `_checked` ctest variants.
 inline bool check_enabled_by_env() {
-  static const bool v = [] {
-    // lint: allow(wallclock-entropy): deliberate config gate -- selects
-    // which subsystems run, read once per process, never a simulated value
-    const char* e = std::getenv("SUVTM_CHECK");
-    return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
-  }();
+  static const bool v = env_flag("SUVTM_CHECK");
   return v;
 }
 
@@ -157,15 +162,6 @@ struct CheckParams {
   /// the incremental oracle's verdicts identical.
   bool reference = false;
 };
-
-/// Env-var gate shared by the observability knobs: set (non-empty, not "0")
-/// means enabled. Read once per process, like check_enabled_by_env().
-inline bool env_flag(const char* var) {
-  // lint: allow(wallclock-entropy): deliberate config gate -- selects
-  // which subsystems run, read once per process, never a simulated value
-  const char* e = std::getenv(var);
-  return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
-}
 
 /// Runtime knobs for the observability subsystem (src/obs). A Recorder is
 /// created iff trace or metrics is set, so the default-off config costs one

@@ -5,7 +5,7 @@
 // entire coherence/HTM state machine free of host synchronization. Ties are
 // broken by insertion order. (Host-level parallelism lives one layer up: the
 // runner fans independent Simulator instances across cores, see
-// runner/parallel.hpp.)
+// runner::parallel_for.)
 //
 // Hot-path notes: the event queue is a calendar queue -- a wheel of
 // kWheelSize per-cycle buckets covering the window [window_start_,
@@ -113,7 +113,6 @@ class Scheduler {
 
   // ---- introspection for tests and diagnostics -----------------------------
   std::size_t slot_pool_capacity() const { return slots_.size(); }
-  std::size_t overflow_size() const { return overflow_.size(); }
 
  private:
   /// Overflow key: full (t, seq) order so re-bucketing replays insertion

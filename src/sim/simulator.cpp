@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "vm/dyntm.hpp"
 #include "vm/suv_vm.hpp"
 
 namespace suvtm::sim {
@@ -28,9 +27,7 @@ void Simulator::build_domain(Domain& d) {
     // scheduler events. Everything read here is this domain's own
     // deterministic state, so the series are reproducible across host job
     // and shard-thread counts.
-    htm::VersionManager* vmgr = &d.htm->vm();
-    if (auto* dyn = dynamic_cast<vm::DynTm*>(vmgr)) vmgr = &dyn->inner();
-    auto* suvvm = dynamic_cast<vm::SuvVm*>(vmgr);
+    vm::SuvVm* suvvm = suv_backend(d.htm->vm());
     htm::HtmSystem* htm = d.htm.get();
     mem::MemorySystem* mem = d.mem.get();
     const std::uint32_t cores = cfg_.mem.num_cores;
@@ -87,6 +84,7 @@ void SimConfig::validate() const {
   check_hashes(htm.signature_hashes, "htm.signature_hashes");
   check_pow2(suv.summary_signature_bits, "suv.summary_signature_bits");
   check_hashes(suv.summary_signature_hashes, "suv.summary_signature_hashes");
+  if (suv.l2_table_assoc == 0) invalid("suv.l2_table_assoc", "must be nonzero");
   if (mem.num_cores % std::max<std::uint32_t>(1, pdes.shards) != 0) {
     invalid("pdes.shards",
             "must divide mem.num_cores (cores partition into equal "

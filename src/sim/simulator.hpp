@@ -27,6 +27,10 @@
 #include "sim/task.hpp"
 #include "sim/thread_context.hpp"
 
+namespace suvtm::vm {
+class SuvVm;
+}  // namespace suvtm::vm
+
 namespace suvtm::sim {
 
 class Simulator {
@@ -101,12 +105,6 @@ class Simulator {
     return d.mem->load_word(d.htm->vm().debug_resolve(kNoCore, a));
   }
 
-  /// Raw backing-store read (no redirection), routed to the domain owning
-  /// `a` -- for seeding comparisons.
-  std::uint64_t raw_word(Addr a) const {
-    return domains_[map_.shard_of_addr(a)]->mem->load_word(a);
-  }
-
   /// Host-side functional word write (workload build phase), routed to the
   /// domain owning `a`.
   void poke_word(Addr a, std::uint64_t v) {
@@ -158,5 +156,10 @@ class Simulator {
 /// Construct the version manager for `cfg.scheme` (defined in vm/factory.cpp).
 std::unique_ptr<htm::VersionManager> make_version_manager(
     const SimConfig& cfg, mem::MemorySystem& mem);
+
+/// The SUV version manager inside `vm`: `vm` itself under SUV-TM, DynTM's
+/// backend under DynTM+SUV, nullptr under every other scheme (defined in
+/// vm/factory.cpp).
+vm::SuvVm* suv_backend(htm::VersionManager& vm);
 
 }  // namespace suvtm::sim

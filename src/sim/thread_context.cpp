@@ -191,9 +191,7 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
       }
     }
   } else if (!vm.loads_in_place()) {
-    const htm::LoadAction act = aw.is_store
-                                    ? vm.resolve_nontx_store(core_, aw.addr)
-                                    : vm.resolve_load(core_, nullptr, aw.addr);
+    const htm::LoadAction act = vm.resolve_load(core_, nullptr, aw.addr);
     target = act.target;
     extra = act.extra;
     extra_if_l1_hit = act.extra_if_l1_hit;

@@ -16,9 +16,6 @@ class Bayes final : public Workload {
  public:
   static constexpr std::uint64_t kVars = 48;
 
-  const char* name() const override { return "bayes"; }
-  bool high_contention() const override { return true; }
-
   void build(sim::Simulator& sim, const SuiteParams& p) override {
     threads_ = sim.num_cores();
     txns_per_thread_ = std::max<std::uint64_t>(

@@ -17,9 +17,6 @@ class Genome final : public Workload {
  public:
   static constexpr std::uint32_t kChains = 16;
 
-  const char* name() const override { return "genome"; }
-  bool high_contention() const override { return true; }
-
   void build(sim::Simulator& sim, const SuiteParams& p) override {
     threads_ = sim.num_cores();
     segments_per_thread_ = std::max<std::uint64_t>(

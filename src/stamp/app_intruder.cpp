@@ -17,9 +17,6 @@ class Intruder final : public Workload {
  public:
   static constexpr std::uint32_t kFragmentsPerFlow = 4;
 
-  const char* name() const override { return "intruder"; }
-  bool high_contention() const override { return true; }
-
   void build(sim::Simulator& sim, const SuiteParams& p) override {
     threads_ = sim.num_cores();
     flows_ = std::max<std::uint64_t>(

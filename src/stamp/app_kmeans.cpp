@@ -16,9 +16,6 @@ class Kmeans final : public Workload {
   static constexpr std::uint32_t kDims = 8;
   static constexpr std::uint32_t kIters = 3;
 
-  const char* name() const override { return "kmeans"; }
-  bool high_contention() const override { return false; }
-
   void build(sim::Simulator& sim, const SuiteParams& p) override {
     threads_ = sim.num_cores();
     points_per_thread_ = std::max<std::uint64_t>(

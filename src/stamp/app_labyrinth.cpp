@@ -15,9 +15,6 @@ namespace {
 
 class Labyrinth final : public Workload {
  public:
-  const char* name() const override { return "labyrinth"; }
-  bool high_contention() const override { return true; }
-
   void build(sim::Simulator& sim, const SuiteParams& p) override {
     threads_ = sim.num_cores();
     cells_ = std::max<std::uint64_t>(

@@ -14,9 +14,6 @@ class Ssca2 final : public Workload {
  public:
   static constexpr std::uint32_t kMaxDegree = 7;  // degree word + 7 slots/line
 
-  const char* name() const override { return "ssca2"; }
-  bool high_contention() const override { return false; }
-
   void build(sim::Simulator& sim, const SuiteParams& p) override {
     threads_ = sim.num_cores();
     nodes_ = std::max<std::uint64_t>(

@@ -18,9 +18,6 @@ class Vacation final : public Workload {
   static constexpr std::uint64_t kInitialCapacity = 100;
   static constexpr std::uint32_t kQueriesPerTask = 8;
 
-  const char* name() const override { return "vacation"; }
-  bool high_contention() const override { return false; }
-
   void build(sim::Simulator& sim, const SuiteParams& p) override {
     threads_ = sim.num_cores();
     relations_ = std::max<std::uint64_t>(

@@ -14,9 +14,6 @@ namespace {
 
 class Yada final : public Workload {
  public:
-  const char* name() const override { return "yada"; }
-  bool high_contention() const override { return true; }
-
   void build(sim::Simulator& sim, const SuiteParams& p) override {
     threads_ = sim.num_cores();
     triangles_ = std::max<std::uint64_t>(

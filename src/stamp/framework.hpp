@@ -50,9 +50,6 @@ struct SuiteParams {
 class Workload {
  public:
   virtual ~Workload() = default;
-  virtual const char* name() const = 0;
-  /// Member of the paper's five high-contention/coarse-grained applications.
-  virtual bool high_contention() const = 0;
   virtual void build(sim::Simulator& sim, const SuiteParams& p) = 0;
 
   /// Post-run self-check of application-level invariants (counters add up,

@@ -35,8 +35,6 @@ class SimAllocator {
     return alloc(lines * kLineBytes, kLineBytes);
   }
 
-  Addr high_water() const { return next_; }
-
  private:
   Addr next_;
 };
@@ -93,11 +91,6 @@ class PerThreadArena {
   }
 
   Addr take(std::uint32_t thread) { return arenas_[thread].take(); }
-  std::uint64_t used() const {
-    std::uint64_t n = 0;
-    for (const auto& a : arenas_) n += a.used();
-    return n;
-  }
 
  private:
   std::vector<SimArena> arenas_;

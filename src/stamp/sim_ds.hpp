@@ -59,7 +59,6 @@ class SimHashMap {
                                     std::uint64_t key) const;
 
   std::uint64_t buckets() const { return buckets_; }
-  std::uint64_t nodes_used() const { return arena_.used(); }
 
  private:
   Addr bucket_addr(std::uint64_t key) const;

@@ -82,4 +82,11 @@ std::unique_ptr<htm::VersionManager> make_version_manager(
   return nullptr;
 }
 
+vm::SuvVm* suv_backend(htm::VersionManager& vm) {
+  if (auto* dyn = dynamic_cast<vm::DynTm*>(&vm)) {
+    return dynamic_cast<vm::SuvVm*>(&dyn->inner());
+  }
+  return dynamic_cast<vm::SuvVm*>(&vm);
+}
+
 }  // namespace suvtm::sim

@@ -76,10 +76,6 @@ class SuvVm final : public htm::VersionManager {
   const suv::PreservedPool& pool(CoreId c) const { return *pools_[c]; }
   const SuvVmStats& suv_stats() const { return sstats_; }
 
-  /// Originals with transient entries owned by `core`'s RUNNING transaction.
-  const std::vector<LineAddr>& owned_lines(CoreId c) const {
-    return owned_[c];
-  }
   /// Visit every original with a transient entry attributable to `core`:
   /// the running transaction's plus any suspended transactions' (audits).
   template <class Fn>

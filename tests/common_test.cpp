@@ -3,7 +3,6 @@
 #include <set>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace suvtm {
@@ -91,71 +90,6 @@ TEST(RngTest, ReseedResets) {
   r.next();
   r.reseed(5);
   EXPECT_EQ(r.next(), first);
-}
-
-TEST(AccumulatorTest, Empty) {
-  Accumulator a;
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.mean(), 0.0);
-  EXPECT_EQ(a.min(), 0.0);
-  EXPECT_EQ(a.max(), 0.0);
-}
-
-TEST(AccumulatorTest, Basic) {
-  Accumulator a;
-  a.add(1.0);
-  a.add(3.0);
-  a.add(2.0);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.sum(), 6.0);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 3.0);
-}
-
-TEST(AccumulatorTest, Reset) {
-  Accumulator a;
-  a.add(5.0);
-  a.reset();
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.sum(), 0.0);
-}
-
-TEST(HistogramTest, Bucketing) {
-  Histogram h(10.0, 5);
-  h.add(0.0);
-  h.add(9.9);
-  h.add(10.0);
-  h.add(49.0);
-  h.add(1000.0);  // overflow -> last bucket
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(HistogramTest, NegativeClampsToFirstBucket) {
-  Histogram h(1.0, 4);
-  h.add(-3.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-}
-
-TEST(HistogramTest, Quantile) {
-  Histogram h(1.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10));
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 10.0, 1.0);
-}
-
-TEST(StatsTest, SafeRatio) {
-  EXPECT_EQ(safe_ratio(1.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(safe_ratio(1.0, 2.0), 0.5);
-}
-
-TEST(StatsTest, Percent) {
-  EXPECT_EQ(percent(0.123), "12.3%");
-  EXPECT_EQ(percent(0.0), "0.0%");
-  EXPECT_EQ(percent(1.0), "100.0%");
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "obs/trace.hpp"
 #include "runner/cli.hpp"
 #include "runner/experiment.hpp"
-#include "runner/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "stamp/framework.hpp"
 
@@ -108,19 +107,19 @@ TEST(TraceDeterminismTest, SerialAndParallelBytesIdentical) {
       points.push_back(runner::RunPoint{app, cfg, params});
     }
   }
-  runner::ParallelExecutor serial(1);
-  runner::ParallelExecutor pool(4);
-  const auto a = runner::run_matrix_traced(points, serial);
-  const auto b = runner::run_matrix_traced(points, pool);
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i], b.results[i]) << "run " << i;
-    EXPECT_EQ(a.traces[i], b.traces[i]) << "run " << i;
+  std::vector<obs::TraceData> ta, tb;
+  const auto a = runner::run_matrix(points, 1, &ta);
+  const auto b = runner::run_matrix(points, 4, &tb);
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(ta.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i], b[i]) << "run " << i;
+    EXPECT_EQ(ta[i], tb[i]) << "run " << i;
   }
   std::vector<obs::NamedTrace> na, nb;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    na.push_back({a.results[i].app, &a.traces[i]});
-    nb.push_back({b.results[i].app, &b.traces[i]});
+    na.push_back({a[i].app, &ta[i]});
+    nb.push_back({b[i].app, &tb[i]});
   }
   EXPECT_EQ(obs::chrome_trace_json(na), obs::chrome_trace_json(nb));
 }

@@ -323,6 +323,8 @@ TEST(SimConfigValidateTest, SimulatorRejectsEachUnmodellableField) {
       {"mem.l2_assoc", [](sim::SimConfig& c) { c.mem.l2_assoc = 0; }},
       {"mem.l2_bytes", [](sim::SimConfig& c) { c.mem.l2_bytes = 0; }},
       {"mem.mesh_dim", [](sim::SimConfig& c) { c.mem.mesh_dim = 0; }},
+      {"suv.l2_table_assoc",
+       [](sim::SimConfig& c) { c.suv.l2_table_assoc = 0; }},
       {"pdes.shards", [](sim::SimConfig& c) { c.pdes.shards = 3; }},
   };
   for (const auto& [field, mutate] : cases) {
