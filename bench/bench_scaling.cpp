@@ -24,6 +24,7 @@
 //   --trace/--metrics: record observability data during the part-1 sweep
 //            (the determinism check then also covers trace and metrics
 //            byte-stability across jobs counts).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -99,6 +100,27 @@ int check_seed_shape(const std::vector<runner::RunPoint>& points,
   return bad;
 }
 
+/// The sharded run's host profile (DESIGN.md section 14): each domain's
+/// share of the events, and the critical-path ratio -- total domain busy
+/// time over the sum of each window's slowest domain, the speedup that
+/// load imbalance alone allows.
+void print_pdes_profile(const sim::PdesProfile& p) {
+  std::uint64_t total = 0;
+  for (std::uint64_t e : p.domain_events) total += e;
+  std::printf("  sim_threads=%u: domain event shares", p.host_threads);
+  for (std::uint64_t e : p.domain_events) {
+    std::printf(" %.1f%%", total == 0 ? 0.0
+                                      : 100.0 * static_cast<double>(e) /
+                                            static_cast<double>(total));
+  }
+  double wait = 0.0;
+  for (double w : p.thread_wait_s) wait = std::max(wait, w);
+  std::printf("\n    critical-path ratio %.2fx (critical path %.3f s), "
+              "merge %.3f s over %llu windows, max barrier wait %.3f s\n",
+              p.imbalance_bound(), p.critical_path_s, p.merge_s,
+              static_cast<unsigned long long>(p.windows), wait);
+}
+
 /// Part 1b: intra-run determinism. Where part 1 checks that *across-run*
 /// host parallelism (the sweep pool) never changes results, this checks
 /// the *within-run* kind: one sharded machine (4 shards, 16 cores, SUV)
@@ -115,6 +137,7 @@ bool pdes_identity_check(runner::BenchReport& report, bool check) {
 
   runner::RunResult results[2];
   obs::TraceData traces[2];
+  sim::PdesProfile profiles[2];
   const std::uint32_t threads[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
     cfg.pdes.host_threads = threads[i];
@@ -124,10 +147,13 @@ bool pdes_identity_check(runner::BenchReport& report, bool check) {
     sim.run();
     wl.verify(sim);
     results[i] = runner::harvest_result(sim, "sharded_kv", &traces[i]);
+    profiles[i] = sim.pdes_profile();
   }
   const bool ok = results[0] == results[1] && traces[0] == traces[1];
-  std::printf("Part 1b: sharded machine (4 shards), sim_threads=1 vs 4: %s\n\n",
+  std::printf("Part 1b: sharded machine (4 shards), sim_threads=1 vs 4: %s\n",
               ok ? "bit-identical" : "NO -- DETERMINISM VIOLATION");
+  for (const sim::PdesProfile& p : profiles) print_pdes_profile(p);
+  std::printf("\n");
   report.set("pdes_bit_identical", static_cast<std::uint64_t>(ok ? 1 : 0));
   return ok;
 }

@@ -294,6 +294,22 @@ std::vector<std::string> audit_suv(const vm::SuvVm& suv,
         }
       }
     }
+    // Holder mask: a deletion clears only the first-level tables the mask
+    // names, so a missing bit would leave a dangling cached line behind.
+    std::uint64_t held = 0;
+    for (CoreId c = 0; c < cores; ++c) {
+      if (table.pinned(c).contains(e.original) ||
+          table.l1_cached(c).contains(e.original)) {
+        held |= 1ull << c;
+      }
+    }
+    if (table.holders(e.original) != held) {
+      out.push_back(format(
+          "suv: entry for %#llx has holder mask %#llx but the first-level "
+          "tables holding it are %#llx",
+          orig, static_cast<unsigned long long>(table.holders(e.original)),
+          static_cast<unsigned long long>(held)));
+    }
     if (!suv::PreservedPool::in_pool_region(e.target)) {
       out.push_back(format(
           "suv: entry for %#llx targets %#llx outside the preserved pool",

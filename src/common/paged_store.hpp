@@ -1,6 +1,7 @@
-// Sparse paged storage keyed by 4 KB page id: the one implementation behind
-// the simulator's functional memory (mem::BackingStore) and the history
-// oracle's model memory (check::ShadowStore).
+// Sparse paged storage keyed by page id: the one implementation behind the
+// simulator's functional memory (mem::BackingStore: 4 KB pages, plus
+// 64-byte "pages" for the SUV pool region) and the history oracle's model
+// memory (check::ShadowStore).
 //
 // Pages are keyed in a flat open-addressing map, fronted by a small
 // direct-mapped cache of recently touched pages: consecutive accesses to

@@ -36,6 +36,15 @@ constexpr std::uint32_t word_in_line(Addr a) {
 /// Sentinel for "no core".
 inline constexpr CoreId kNoCore = 0xffffffffu;
 
+/// The contiguous cores [first, first + count) one simulation domain runs:
+/// every core on a monolithic machine, one shard's block on a sharded one.
+struct CoreRange {
+  CoreId first = 0;
+  std::uint32_t count = 0;
+
+  constexpr bool contains(CoreId c) const { return c - first < count; }
+};
+
 /// Base of the SUV preserved-pool region. Addresses at or above this are
 /// redirect targets whose physical page pointer travels inside the redirect
 /// entry itself (paper Figure 3: the entry stores a TLB index), so accesses

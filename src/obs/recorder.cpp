@@ -202,11 +202,13 @@ void Recorder::on_pool_page(CoreId owner) {
   emit(e);
 }
 
-void Recorder::on_summary_add() { metrics_.add(Counter::kSummaryAdds); }
+void Recorder::on_summary_add(std::uint64_t n) {
+  metrics_.add(Counter::kSummaryAdds, n);
+}
 
-void Recorder::on_summary_remove(bool stale) {
-  metrics_.add(Counter::kSummaryRemoves);
-  if (stale) metrics_.add(Counter::kSummaryStaleRemoves);
+void Recorder::on_summary_remove(bool stale, std::uint64_t n) {
+  metrics_.add(Counter::kSummaryRemoves, n);
+  if (stale) metrics_.add(Counter::kSummaryStaleRemoves, n);
 }
 
 void Recorder::on_l1_miss(CoreId c, Cycle t, LineAddr line, Cycle latency,

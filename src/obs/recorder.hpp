@@ -78,8 +78,10 @@ class Recorder {
   void on_table_spill(LineAddr line, CoreId owner);
   void on_table_l1_overflow();
   void on_pool_page(CoreId owner);
-  void on_summary_add();
-  void on_summary_remove(bool stale);
+  /// `n` summaries took (or dropped) one line; `stale`: it still tests
+  /// positive in them afterwards.
+  void on_summary_add(std::uint64_t n = 1);
+  void on_summary_remove(bool stale, std::uint64_t n = 1);
 
   // ---- mem ----------------------------------------------------------------
   void on_l1_miss(CoreId c, Cycle t, LineAddr line, Cycle latency,

@@ -15,6 +15,11 @@ void Scheduler::throw_scheduled_into_past(Cycle t) const {
       "); the calendar queue would mis-bucket it a full window late");
 }
 
+void Scheduler::push_overflow(Cycle t, std::uint64_t payload) {
+  overflow_.emplace_back();  // reserve the hole; sift_up fills it
+  sift_up(overflow_.size() - 1, Key{t, seq_, payload});
+}
+
 bool Scheduler::run(Cycle limit) {
   while (pending_ > 0) {
     if (window_count_ == 0) {
@@ -48,18 +53,22 @@ bool Scheduler::run(Cycle limit) {
     std::size_t i = 0;
     while (i < b->size()) {
       const std::uint64_t payload = (*b)[i++];
-      if (payload & 1u) {
-        const auto slot = static_cast<std::uint32_t>(payload >> 1);
+      if ((payload & kTagMask) == 0) [[likely]] {
+        std::coroutine_handle<>::from_address(
+            reinterpret_cast<void*>(static_cast<std::uintptr_t>(payload)))
+            .resume();
+      } else if (payload & kWakeTag) {
+        reinterpret_cast<Wakeable*>(
+            static_cast<std::uintptr_t>(payload & ~kTagMask))
+            ->on_wake();
+      } else {
+        const auto slot = static_cast<std::uint32_t>(payload >> 2);
         // Move the callback out before running it: fn may schedule new
         // events, which may reuse (and reassign) the freed slot.
         SmallFn fn = std::move(slots_[slot]);
         // lint: allow(growth-in-loop) -- capacity pre-reserved in at().
         free_slots_.push_back(slot);
         fn();
-      } else {
-        std::coroutine_handle<>::from_address(
-            reinterpret_cast<void*>(static_cast<std::uintptr_t>(payload)))
-            .resume();
       }
     }
     const std::uint64_t batch = i;

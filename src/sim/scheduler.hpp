@@ -20,10 +20,12 @@
 // carry smaller seqs than any event bucketed directly after the jump, so
 // FIFO order within a bucket *is* seq order.
 //
-// Events are one 64-bit payload each: an even value is a raw coroutine
-// handle (the dominant resume_after case -- no SmallFn construction, no
-// type-erased call), an odd value is (slot << 1) | 1 into a free-listed
-// SmallFn slot pool for general callbacks.
+// Events are one 64-bit payload each, tagged in the low two bits: a raw
+// coroutine handle (tag 0; the dominant resume_after case -- no SmallFn
+// construction, no type-erased call), a Wakeable record's address (tag 2;
+// a core's NACK retries, commit/abort completions), or (slot << 2) | 1 into
+// a free-listed SmallFn slot pool for external callbacks (tests, harnesses).
+// Simulator events never touch the slot pool.
 //
 // run() dispatches per *bucket*, not per event: `now_` advances once per
 // simulated cycle, and the observability cycle-cache/sampler update is one
@@ -41,6 +43,17 @@
 #include "sim/small_fn.hpp"
 
 namespace suvtm::sim {
+
+/// An intrusive event record: Scheduler::wake_at schedules its address as
+/// the event payload, and dispatch is one virtual call. The record must
+/// outlive its pending events.
+class Wakeable {
+ public:
+  virtual void on_wake() = 0;
+
+ protected:
+  ~Wakeable() = default;
+};
 
 class Scheduler {
  public:
@@ -62,9 +75,9 @@ class Scheduler {
   /// Current simulated time.
   Cycle now() const { return now_; }
 
-  /// Run `fn` at absolute cycle `t` (>= now). Inline together with push()
-  /// below: one schedule + one dispatch per simulated event makes these the
-  /// hottest non-model code in the simulator.
+  /// Run `fn` at absolute cycle `t` (>= now): the general callback path,
+  /// for tests and external harnesses. The simulator's own events go through
+  /// resume_at and wake_at, which skip the slot pool.
   void at(Cycle t, SmallFn fn) {
     check_not_past(t);
     std::uint32_t slot;
@@ -79,7 +92,7 @@ class Scheduler {
       free_slots_.pop_back();
       slots_[slot] = std::move(fn);
     }
-    push(t, (static_cast<std::uint64_t>(slot) << 1) | 1u);
+    push(t, (static_cast<std::uint64_t>(slot) << 2) | kSlotTag);
   }
 
   /// Run `fn` `delay` cycles from now.
@@ -91,7 +104,7 @@ class Scheduler {
   void resume_at(Cycle t, std::coroutine_handle<> h) {
     check_not_past(t);
     const auto payload = reinterpret_cast<std::uintptr_t>(h.address());
-    assert((payload & 1u) == 0 && "coroutine frames are at least 2-aligned");
+    assert((payload & kTagMask) == 0 && "coroutine frames are 4-aligned");
     push(t, static_cast<std::uint64_t>(payload));
   }
 
@@ -99,6 +112,18 @@ class Scheduler {
   void resume_after(Cycle delay, std::coroutine_handle<> h) {
     resume_at(now_ + delay, h);
   }
+
+  /// Call `w.on_wake()` at absolute cycle `t`. Like resume_at, the record's
+  /// address rides in the payload: no slot-pool traffic.
+  void wake_at(Cycle t, Wakeable& w) {
+    check_not_past(t);
+    const auto payload = reinterpret_cast<std::uintptr_t>(&w);
+    assert((payload & kTagMask) == 0);
+    push(t, static_cast<std::uint64_t>(payload) | kWakeTag);
+  }
+
+  /// Call `w.on_wake()` `delay` cycles from now.
+  void wake_after(Cycle delay, Wakeable& w) { wake_at(now_ + delay, w); }
 
   /// Process events until the queue is empty or `limit` cycles elapse.
   /// Returns false if the limit was hit with events still pending.
@@ -130,6 +155,12 @@ class Scheduler {
 
   using Bucket = std::vector<std::uint64_t>;
 
+  /// Payload tags (low two bits); tag 0 is a coroutine handle.
+  static constexpr std::uint64_t kSlotTag = 1;
+  static constexpr std::uint64_t kWakeTag = 2;
+  static constexpr std::uint64_t kTagMask = 3;
+  static_assert(alignof(Wakeable) >= 4, "wake payloads need two tag bits");
+
   /// The schedule-into-the-past guard. The binary heap merely mis-ordered a
   /// past-time event; the wheel would silently mis-bucket it a whole window
   /// late, so the guard throws a catchable check::CheckFailure (see
@@ -144,7 +175,7 @@ class Scheduler {
     ++pending_;
     // Invariant outside run(): window_start_ <= now_ <= t, so the unsigned
     // difference below is exact.
-    if (t - window_start_ < kWheelSize) {
+    if (t - window_start_ < kWheelSize) [[likely]] {
       const std::uint32_t idx = static_cast<std::uint32_t>(t & kWheelMask);
       wheel_[idx].push_back(payload);
       mark_occupied(idx);
@@ -153,10 +184,13 @@ class Scheduler {
       // passed without dispatching (e.g. at(now()) between run() calls).
       if (t < scan_t_) scan_t_ = t;
     } else {
-      overflow_.emplace_back();  // reserve the hole; sift_up fills it
-      sift_up(overflow_.size() - 1, Key{t, seq_, payload});
+      push_overflow(t, payload);
     }
   }
+
+  /// The far-future branch of push(), kept out of line so the inlined
+  /// wheel append stays small at every resume_at/wake_at/at call site.
+  void push_overflow(Cycle t, std::uint64_t payload);
 
   // ---- occupancy bitmap ----------------------------------------------------
   // One bit per bucket plus a one-word summary (bit w set iff occ_[w] != 0),
@@ -262,7 +296,7 @@ class Scheduler {
   std::uint64_t occ_[kOccWords] = {};  // bit per non-empty bucket
   std::uint64_t occ_summary_ = 0;      // bit w set iff occ_[w] != 0
   std::vector<Key> overflow_;     // binary min-heap by (t, seq)
-  std::vector<SmallFn> slots_;    // parked callbacks, indexed by payload>>1
+  std::vector<SmallFn> slots_;    // parked callbacks, indexed by payload>>2
   std::vector<std::uint32_t> free_slots_;
 };
 

@@ -2,12 +2,34 @@
 
 #include <algorithm>
 #include <barrier>
+#include <chrono>
 #include <thread>
 
 #include "htm/htm_system.hpp"
 #include "mem/memory_system.hpp"
 
 namespace suvtm::sim {
+
+namespace {
+
+// The PdesProfile clock. Its readings only describe the host run; nothing
+// simulated ever reads them.
+// lint: allow(wallclock-entropy): host profile only, never simulated state
+using HostClock = std::chrono::steady_clock;
+
+double seconds_since(HostClock::time_point t0) {
+  // lint: allow(wallclock-entropy): host profile only, never simulated state
+  return std::chrono::duration<double>(HostClock::now() - t0).count();
+}
+
+}  // namespace
+
+double PdesProfile::imbalance_bound() const {
+  double busy = 0.0;
+  // lint: allow(float-accum-order): domain order; host seconds only
+  for (double b : domain_busy_s) busy += b;
+  return critical_path_s > 0.0 ? busy / critical_path_s : 0.0;
+}
 
 Cycle ShardRuntime::effective_window(const SimConfig& cfg) {
   const Cycle w = cfg.pdes.window_cycles != 0 ? cfg.pdes.window_cycles
@@ -25,7 +47,7 @@ ShardRuntime::ShardRuntime(const SimConfig& cfg, const ShardMap& map,
                            Breakdown* breakdowns)
     : cfg_(cfg), map_(map), domains_(std::move(domains)), boxes_(boxes),
       breakdowns_(breakdowns), window_(effective_window(cfg)),
-      retry_(map.shards), errors_(map.shards) {
+      retry_(map.shards), errors_(map.shards), window_busy_s_(map.shards) {
   // One-way NoC latency between shard home tiles (a shard's home tile is
   // its first core's tile): the conservative transport charge for a
   // boundary-merged message in each direction.
@@ -57,14 +79,19 @@ bool ShardRuntime::run(Cycle max_cycles) {
   // a property of the code path, not a property we hope the merge restores.
   const std::uint32_t N = std::min<std::uint32_t>(
       std::max<std::uint32_t>(1, cfg_.pdes.host_threads), S);
+  profile_ = PdesProfile{};
+  profile_.host_threads = N;
+  profile_.domain_busy_s.assign(S, 0.0);
+  profile_.thread_wait_s.assign(N, 0.0);
 
   std::barrier bar(static_cast<std::ptrdiff_t>(N),
-                   [this]() noexcept { merge_boundary(); });
+                   [this]() noexcept { end_window(); });
 
   auto worker = [&](std::uint32_t k) {
     for (;;) {
       for (std::uint32_t d = k; d < S; d += N) {
         if (errors_[d]) continue;
+        const HostClock::time_point t0 = HostClock::now();
         try {
           // Execute every event with t < boundary_; cross-boundary events
           // stay queued. Scheduler::run is inclusive of its limit.
@@ -72,11 +99,14 @@ bool ShardRuntime::run(Cycle max_cycles) {
         } catch (...) {
           errors_[d] = std::current_exception();
         }
+        window_busy_s_[d] = seconds_since(t0);
       }
+      const HostClock::time_point w0 = HostClock::now();
       // The one cross-thread synchronization point per window; the
       // completion function above merges the mailboxes on a single thread
       // while everyone else is parked. // lint: allow(sync-in-drain)
       bar.arrive_and_wait();
+      profile_.thread_wait_s[k] += seconds_since(w0);
       if (done_ || overran_) return;
     }
   };
@@ -85,6 +115,10 @@ bool ShardRuntime::run(Cycle max_cycles) {
   threads.reserve(N);
   for (std::uint32_t k = 0; k < N; ++k) threads.emplace_back(worker, k);
   for (auto& t : threads) t.join();
+  profile_.domain_events.resize(S);
+  for (std::uint32_t d = 0; d < S; ++d) {
+    profile_.domain_events[d] = domains_[d].sched->events_processed();
+  }
   return !overran_;
 }
 
@@ -92,6 +126,20 @@ void ShardRuntime::rethrow_domain_error() const {
   for (const auto& e : errors_) {
     if (e) std::rethrow_exception(e);
   }
+}
+
+void ShardRuntime::end_window() {
+  const HostClock::time_point m0 = HostClock::now();
+  double slowest = 0.0;
+  for (std::size_t d = 0; d < window_busy_s_.size(); ++d) {
+    profile_.domain_busy_s[d] += window_busy_s_[d];
+    slowest = std::max(slowest, window_busy_s_[d]);
+    window_busy_s_[d] = 0.0;
+  }
+  profile_.critical_path_s += slowest;
+  ++profile_.windows;
+  merge_boundary();
+  profile_.merge_s += seconds_since(m0);
 }
 
 void ShardRuntime::merge_boundary() {

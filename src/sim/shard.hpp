@@ -121,6 +121,32 @@ struct DomainPort {
   htm::HtmSystem* htm = nullptr;
 };
 
+/// Host-side profile of one sharded run (DESIGN.md section 14): where the
+/// window loop's wall time goes. The event counts are deterministic; the
+/// host seconds vary run to run, which is why none of this is part of
+/// runner::RunResult.
+struct PdesProfile {
+  std::uint32_t host_threads = 0;  // 0: the run was not sharded
+  std::uint64_t windows = 0;       // window barriers crossed
+  /// Scheduler events each domain processed.
+  std::vector<std::uint64_t> domain_events;
+  /// Host seconds each domain spent inside its Scheduler::run.
+  std::vector<double> domain_busy_s;
+  /// Host seconds each host thread spent in the window barrier (the thread
+  /// that runs a boundary's merge counts that merge as waiting).
+  std::vector<double> thread_wait_s;
+  /// Host seconds spent merging mailboxes at the window boundaries.
+  double merge_s = 0.0;
+  /// Sum over windows of the slowest domain's busy seconds: the wall time
+  /// of the domains' work with one host thread per domain and free
+  /// barriers.
+  double critical_path_s = 0.0;
+
+  /// Total busy seconds over the critical path: the speedup that load
+  /// imbalance alone allows with one host thread per domain.
+  double imbalance_bound() const;
+};
+
 /// Conservative window loop: every domain runs its wheel up to the window
 /// boundary on its host thread (domain d on thread d % host_threads), the
 /// threads barrier, and one thread merges the mailboxes deterministically.
@@ -149,6 +175,9 @@ class ShardRuntime {
 
   Cycle window_cycles() const { return window_; }
 
+  /// The host profile of the last run().
+  const PdesProfile& profile() const { return profile_; }
+
   /// The effective synchronization quantum for `cfg`: the configured (or
   /// default 4096-cycle) window, floored by the mesh's minimum cross-shard
   /// hop latency so a boundary-merged message can never be delivered
@@ -156,6 +185,9 @@ class ShardRuntime {
   static Cycle effective_window(const SimConfig& cfg);
 
  private:
+  /// The barrier's completion step: fold the window's busy times into the
+  /// profile, then merge_boundary().
+  void end_window();
   void merge_boundary();
   void process_remote(std::uint32_t to, const RemoteMsg& m);
 
@@ -178,6 +210,10 @@ class ShardRuntime {
   /// Per-domain captured exception; plain slots, synchronized by the
   /// window barrier (each is written before an arrive and read after).
   std::vector<std::exception_ptr> errors_;
+  /// Each domain's busy seconds in the current window; written by its
+  /// thread, folded into profile_ by end_window() (same barrier hand-off).
+  std::vector<double> window_busy_s_;
+  PdesProfile profile_;
 };
 
 }  // namespace suvtm::sim

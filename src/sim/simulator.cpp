@@ -9,10 +9,10 @@
 
 namespace suvtm::sim {
 
-void Simulator::build_domain(Domain& d) {
+void Simulator::build_domain(Domain& d, CoreRange cores) {
   d.mem = std::make_unique<mem::MemorySystem>(cfg_.mem);
-  d.htm = std::make_unique<htm::HtmSystem>(cfg_, *d.mem,
-                                           make_version_manager(cfg_, *d.mem));
+  d.htm = std::make_unique<htm::HtmSystem>(
+      cfg_, *d.mem, make_version_manager(cfg_, *d.mem, cores));
   if (cfg_.check.enabled) {
     d.checker = std::make_unique<check::Checker>(cfg_, *d.mem, *d.htm);
     d.htm->set_checker(d.checker.get());
@@ -102,7 +102,8 @@ Simulator::Simulator(const SimConfig& cfg) : cfg_(cfg) {
   for (std::uint32_t s = 0; s < shards; ++s) {
     // lint: allow(alloc-in-loop) -- one-time construction, not a sim path
     domains_.push_back(std::make_unique<Domain>());
-    build_domain(*domains_.back());
+    build_domain(*domains_.back(),
+                 CoreRange{s * map_.cores_per_shard, map_.cores_per_shard});
   }
   if (shards > 1) {
     boxes_ = std::make_unique<Mailboxes>(shards);
@@ -148,7 +149,7 @@ void Simulator::spawn(CoreId c, ThreadTask task) {
   Scheduler& sched = domains_[map_.shard_of_core(c)]->sched;
   // Stagger thread starts by one cycle for a deterministic, realistic ramp
   // (by global core id, so the ramp matches the monolithic machine's).
-  sched.at(sched.now() + c, [h] { h.resume(); });
+  sched.resume_at(sched.now() + c, h);
   threads_.push_back(std::move(s));
 }
 
@@ -171,6 +172,7 @@ void Simulator::run() {
     ShardRuntime rt(cfg_, map_, std::move(ports), *boxes_,
                     breakdowns_.data());
     finished = rt.run(cfg_.max_cycles);
+    pdes_profile_ = rt.profile();
     // A domain whose scheduler threw (checker guard, internal error) mirrors
     // the serial path's direct propagation out of Scheduler::run.
     rt.rethrow_domain_error();

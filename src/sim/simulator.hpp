@@ -91,6 +91,10 @@ class Simulator {
   /// Simulated events processed, summed over domains.
   std::uint64_t events_processed() const;
 
+  /// Host profile of the sharded window loop (host_threads == 0 on a
+  /// monolithic machine or before run()). Not part of any RunResult.
+  const PdesProfile& pdes_profile() const { return pdes_profile_; }
+
   const Breakdown& breakdown(CoreId c) const { return breakdowns_[c]; }
   Breakdown total_breakdown() const;
 
@@ -134,7 +138,7 @@ class Simulator {
     std::unique_ptr<obs::Recorder> recorder;
   };
 
-  void build_domain(Domain& d);
+  void build_domain(Domain& d, CoreRange cores);
 
   SimConfig cfg_;
   ShardMap map_;
@@ -144,6 +148,7 @@ class Simulator {
   std::vector<Breakdown> breakdowns_;
   std::vector<std::unique_ptr<ThreadContext>> contexts_;
   std::vector<std::unique_ptr<Barrier>> barriers_;
+  PdesProfile pdes_profile_;
 
   struct Spawned {
     ThreadTask task;
@@ -153,9 +158,16 @@ class Simulator {
   std::vector<std::unique_ptr<Spawned>> threads_;
 };
 
-/// Construct the version manager for `cfg.scheme` (defined in vm/factory.cpp).
+/// Construct the version manager for `cfg.scheme`, serving a domain that
+/// runs cores `local` (defined in vm/factory.cpp).
 std::unique_ptr<htm::VersionManager> make_version_manager(
-    const SimConfig& cfg, mem::MemorySystem& mem);
+    const SimConfig& cfg, mem::MemorySystem& mem, CoreRange local);
+
+/// The version manager of a monolithic machine: every core is local.
+inline std::unique_ptr<htm::VersionManager> make_version_manager(
+    const SimConfig& cfg, mem::MemorySystem& mem) {
+  return make_version_manager(cfg, mem, CoreRange{0, cfg.mem.num_cores});
+}
 
 /// The SUV version manager inside `vm`: `vm` itself under SUV-TM, DynTM's
 /// backend under DynTM+SUV, nullptr under every other scheme (defined in

@@ -19,23 +19,49 @@ ThreadContext::ThreadContext(CoreId core, const SimConfig& cfg,
                              std::uint64_t rng_seed, check::Checker* checker,
                              obs::Recorder* obs, const RemotePort* port)
     : core_(core), cfg_(cfg), sched_(sched), mem_(mem), htm_(htm),
-      breakdown_(breakdown), rng_(rng_seed), checker_(checker), obs_(obs),
-      port_(port) {}
-
-htm::Txn& ThreadContext::txn() { return htm_.txn(core_); }
+      txn_(&htm.txn(core)), breakdown_(breakdown), rng_(rng_seed),
+      checker_(checker), obs_(obs), port_(port) {}
 
 bool ThreadContext::in_tx() const {
-  return const_cast<ThreadContext*>(this)->txn().state ==
-         htm::TxnState::kRunning;
+  return txn_->state == htm::TxnState::kRunning;
 }
 
-void ThreadContext::guard_no_pending_abort() const {
-  if (abort_pending_) [[unlikely]] {
-    throw check::CheckFailure(
-        "core " + std::to_string(core_) +
-        " issued an operation while an abort is pending: the transaction "
-        "root must call take_abort() after an attempt that may abort");
+void ThreadContext::throw_pending_abort() const {
+  throw check::CheckFailure(
+      "core " + std::to_string(core_) +
+      " issued an operation while an abort is pending: the transaction "
+      "root must call take_abort() after an attempt that may abort");
+}
+
+void ThreadContext::arm_wake(WakeKind kind, Cycle delay, MemAwaiter* aw,
+                             std::coroutine_handle<> h) {
+  assert(wake_kind_ == WakeKind::kNone &&
+         "a core waits on one operation at a time");
+  wake_kind_ = kind;
+  wake_aw_ = aw;
+  wake_h_ = h;
+  sched_.wake_after(delay, *this);
+}
+
+void ThreadContext::on_wake() {
+  // Free the slot first: every handler below may arm the next wake.
+  switch (std::exchange(wake_kind_, WakeKind::kNone)) {
+    case WakeKind::kMemRetry:
+      issue_mem(*wake_aw_, wake_h_);
+      return;
+    case WakeKind::kCommitRetry:
+      issue_commit(wake_h_);
+      return;
+    case WakeKind::kCommitDone:
+      finish_commit(wake_h_);
+      return;
+    case WakeKind::kAbortDone:
+      finish_abort();
+      return;
+    case WakeKind::kNone:
+      break;
   }
+  assert(false && "wake event fired with an empty slot");
 }
 
 void ThreadContext::start_abort() {
@@ -54,21 +80,23 @@ void ThreadContext::start_abort() {
   ++htm_.stats().aborts;
   SUVTM_OBS_HOOK(obs_,
                  on_abort_window(core_, sched_.now(), cost, t.doom_cause));
-  sched_.after(cost, [this] {
-    htm::Txn& t2 = txn();
-    if (t2.overflowed) ++htm_.stats().overflowed_attempts;
-    htm_.vm().on_abort_done(t2);
-    SUVTM_CHECK_HOOK(checker_, on_abort_done(core_));
-    SUVTM_OBS_HOOK(obs_, on_txn_abort(core_, sched_.now()));
-    htm_.conflicts().clear_wait(core_);
-    t2.reset_attempt();  // timestamp survives: progress guarantee
-    htm_.conflicts().set_isolation(core_, false);
-    // Unwind by resuming the root: destroying the Task it awaits destroys
-    // every nested frame of the attempt, all inside this one event.
-    assert(root_ && "abort completed with no transaction root frame");
-    abort_pending_ = true;
-    std::exchange(root_, nullptr).resume();
-  });
+  arm_wake(WakeKind::kAbortDone, cost, nullptr, nullptr);
+}
+
+void ThreadContext::finish_abort() {
+  htm::Txn& t = txn();
+  if (t.overflowed) ++htm_.stats().overflowed_attempts;
+  htm_.vm().on_abort_done(t);
+  SUVTM_CHECK_HOOK(checker_, on_abort_done(core_));
+  SUVTM_OBS_HOOK(obs_, on_txn_abort(core_, sched_.now()));
+  htm_.conflicts().clear_wait(core_);
+  t.reset_attempt();  // timestamp survives: progress guarantee
+  htm_.conflicts().set_isolation(core_, false);
+  // Unwind by resuming the root: destroying the Task it awaits destroys
+  // every nested frame of the attempt, all inside this one event.
+  assert(root_ && "abort completed with no transaction root frame");
+  abort_pending_ = true;
+  std::exchange(root_, nullptr).resume();
 }
 
 void ThreadContext::issue_remote(MemAwaiter& aw, std::coroutine_handle<> h,
@@ -128,7 +156,7 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
     if (tx) attempt_.add_stalled(w);
     else breakdown_.add(Bucket::kNoTrans, w);
     SUVTM_OBS_HOOK(obs_, on_stall(core_, sched_.now(), dec.holder, line, w));
-    sched_.after(w, [this, &aw, h] { issue_mem(aw, h); });
+    arm_wake(WakeKind::kMemRetry, w, &aw, h);
     return;
   }
 
@@ -289,7 +317,7 @@ void ThreadContext::issue_commit(std::coroutine_handle<> h) {
     // Commit arbitration: one lazy committer at a time.
     const Cycle w = cfg_.htm.stall_retry_interval;
     breakdown_.add(Bucket::kCommitting, w);
-    sched_.after(w, [this, h] { issue_commit(h); });
+    arm_wake(WakeKind::kCommitRetry, w, nullptr, h);
     return;
   }
   if (!htm_.vm().commit_ready(t)) {
@@ -297,7 +325,7 @@ void ThreadContext::issue_commit(std::coroutine_handle<> h) {
     if (t.lazy) htm_.release_commit_token(core_);
     const Cycle w = cfg_.htm.stall_retry_interval;
     breakdown_.add(Bucket::kCommitting, w);
-    sched_.after(w, [this, h] { issue_commit(h); });
+    arm_wake(WakeKind::kCommitRetry, w, nullptr, h);
     return;
   }
 
@@ -307,23 +335,24 @@ void ThreadContext::issue_commit(std::coroutine_handle<> h) {
   const Cycle cost = htm_.vm().commit_cost(t);
   breakdown_.add(Bucket::kCommitting, cost);
   SUVTM_OBS_HOOK(obs_, on_commit_window(core_, sched_.now(), cost));
-  sched_.after(cost, [this, h] {
-    htm::Txn& t2 = txn();
-    if (t2.overflowed) ++htm_.stats().overflowed_attempts;
-    htm_.vm().on_commit_done(t2);
-    SUVTM_CHECK_HOOK(checker_,
-                     on_commit_done(core_, sched_.now(), t2.lazy));
-    SUVTM_OBS_HOOK(obs_,
-                   on_txn_commit(core_, sched_.now(), t2.write_lines.size()));
-    if (t2.lazy) htm_.release_commit_token(core_);
-    htm_.conflicts().clear_wait(core_);
-    attempt_.settle_commit(breakdown_);
-    t2.reset_committed();
-    htm_.conflicts().set_isolation(core_, false);
-    ++htm_.stats().commits;
-    root_ = nullptr;
-    h.resume();
-  });
+  arm_wake(WakeKind::kCommitDone, cost, nullptr, h);
+}
+
+void ThreadContext::finish_commit(std::coroutine_handle<> h) {
+  htm::Txn& t = txn();
+  if (t.overflowed) ++htm_.stats().overflowed_attempts;
+  htm_.vm().on_commit_done(t);
+  SUVTM_CHECK_HOOK(checker_, on_commit_done(core_, sched_.now(), t.lazy));
+  SUVTM_OBS_HOOK(obs_,
+                 on_txn_commit(core_, sched_.now(), t.write_lines.size()));
+  if (t.lazy) htm_.release_commit_token(core_);
+  htm_.conflicts().clear_wait(core_);
+  attempt_.settle_commit(breakdown_);
+  t.reset_committed();
+  htm_.conflicts().set_isolation(core_, false);
+  ++htm_.stats().commits;
+  root_ = nullptr;
+  h.resume();
 }
 
 void ThreadContext::issue_rollback_inner(RollbackInnerAwaiter& aw,

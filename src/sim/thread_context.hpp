@@ -10,6 +10,12 @@
 // destroys every nested frame of the attempt. The root must call
 // take_abort() before its next operation; any operation issued while an
 // abort is pending throws check::CheckFailure.
+//
+// Wake slot: a core's coroutine chain waits on one operation at a time, so
+// the events that are not plain coroutine resumes -- a NACKed access's
+// retry, a lost commit arbitration's retry, and the commit and abort
+// completions -- share one per-core slot, scheduled as the context's own
+// address (Scheduler::wake_at) and dispatched by on_wake().
 #pragma once
 
 #include <coroutine>
@@ -22,6 +28,7 @@
 #include "sim/barrier.hpp"
 #include "sim/breakdown.hpp"
 #include "sim/config.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/task.hpp"
 
 namespace suvtm::check {
@@ -37,10 +44,9 @@ class MemorySystem;
 
 namespace suvtm::sim {
 
-class Scheduler;
 struct RemotePort;
 
-class ThreadContext {
+class ThreadContext final : private Wakeable {
  public:
   /// `port` is non-null only on a sharded machine (sim/shard.hpp): it lets
   /// this core route non-transactional loads of foreign-shard addresses
@@ -51,6 +57,9 @@ class ThreadContext {
                 check::Checker* checker = nullptr,
                 obs::Recorder* obs = nullptr,
                 const RemotePort* port = nullptr);
+  // Pending wake events hold the context's address.
+  ThreadContext(const ThreadContext&) = delete;
+  ThreadContext& operator=(const ThreadContext&) = delete;
 
   // ---- awaitables ----------------------------------------------------------
 
@@ -170,7 +179,20 @@ class ThreadContext {
   friend struct BackoffAwaiter;
   friend struct RollbackInnerAwaiter;
 
-  htm::Txn& txn();
+  htm::Txn& txn() { return *txn_; }
+
+  /// What the pending wake event does when it fires.
+  enum class WakeKind : std::uint8_t {
+    kNone,
+    kMemRetry,     // a NACKed access re-issues
+    kCommitRetry,  // a commit that lost arbitration re-issues
+    kCommitDone,   // the commit flash finished
+    kAbortDone,    // the rollback finished
+  };
+  /// Schedule the core's one wake event `delay` cycles from now.
+  void arm_wake(WakeKind kind, Cycle delay, MemAwaiter* aw,
+                std::coroutine_handle<> h);
+  void on_wake() override;
 
   void issue_mem(MemAwaiter& aw, std::coroutine_handle<> h);
   /// Foreign-shard access: post a RemoteMsg to the owner's mailbox (the
@@ -187,19 +209,26 @@ class ThreadContext {
                             std::coroutine_handle<> h);
 
   /// Enter kAborting, pay the version manager's rollback cost while
-  /// isolation is still held, then set the pending abort and resume the
-  /// transaction's root frame.
+  /// isolation is still held, then (finish_abort) set the pending abort and
+  /// resume the transaction's root frame.
   void start_abort();
+  void finish_abort();
+  /// The commit flash's completion: publish, release isolation, resume `h`.
+  void finish_commit(std::coroutine_handle<> h);
 
   /// Throws check::CheckFailure if an abort is pending: the root skipped
   /// take_abort() and would otherwise run on non-transactionally.
-  void guard_no_pending_abort() const;
+  void guard_no_pending_abort() const {
+    if (abort_pending_) [[unlikely]] throw_pending_abort();
+  }
+  [[noreturn]] void throw_pending_abort() const;
 
   CoreId core_;
   const SimConfig& cfg_;
   Scheduler& sched_;
   mem::MemorySystem& mem_;
   htm::HtmSystem& htm_;
+  htm::Txn* txn_;  // this core's descriptor in htm_ (stable for the run)
   Breakdown& breakdown_;
   AttemptAccount attempt_;
   Rng rng_;
@@ -208,6 +237,9 @@ class ThreadContext {
   const RemotePort* port_;   // nullptr unless the machine is sharded
   std::coroutine_handle<> root_{};  // outermost tx_begin's caller, or null
   bool abort_pending_ = false;
+  WakeKind wake_kind_ = WakeKind::kNone;
+  MemAwaiter* wake_aw_ = nullptr;     // kMemRetry's access
+  std::coroutine_handle<> wake_h_{};  // kMemRetry/kCommit*'s awaiter
 };
 
 }  // namespace suvtm::sim

@@ -1,32 +1,37 @@
 #include "suv/redirect_table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "obs/recorder.hpp"
 
 namespace suvtm::suv {
 
-RedirectTable::RedirectTable(const sim::SuvParams& p, std::uint32_t num_cores)
-    : params_(p) {
+RedirectTable::RedirectTable(const sim::SuvParams& p, std::uint32_t num_cores,
+                             CoreRange local)
+    : params_(p), local_(local), observers_(num_cores - local.count) {
+  assert(num_cores <= 64 && "holder masks are 64-bit");
+  assert(local.count <= num_cores && local.first <= num_cores - local.count);
   l1_.resize(num_cores);
   const std::uint32_t sets =
       std::max<std::uint32_t>(1, p.l2_table_entries / p.l2_table_assoc);
   l2_sets_.resize(sets);
-  summary_.reserve(num_cores);
-  for (std::uint32_t c = 0; c < num_cores; ++c) {
+  const std::uint32_t summaries = local.count + (observers_ > 0 ? 1 : 0);
+  summary_.reserve(summaries);
+  for (std::uint32_t i = 0; i < summaries; ++i) {
     summary_.emplace_back(p.summary_signature_bits, p.summary_signature_hashes);
   }
 }
 
 RedirectEntry* RedirectTable::find(LineAddr original) {
-  auto it = entries_.find(original);
-  return it == entries_.end() ? nullptr : &it->second;
+  Slot* s = slot(original);
+  return s ? &s->entry : nullptr;
 }
 
 const RedirectEntry* RedirectTable::find(LineAddr original) const {
   auto it = entries_.find(original);
-  return it == entries_.end() ? nullptr : &it->second;
+  return it == entries_.end() ? nullptr : &it->second.entry;
 }
 
 bool RedirectTable::l2_contains(LineAddr l) const {
@@ -60,7 +65,8 @@ void RedirectTable::l2_install(LineAddr l) {
   s.ways.emplace_back(l, ++tick_);
 }
 
-void RedirectTable::l1_install(CoreId core, LineAddr l) {
+void RedirectTable::l1_install(CoreId core, Slot& s) {
+  const LineAddr l = s.entry.original;
   L1Table& t = l1_[core];
   if (t.pinned.count(l)) return;
   auto it = t.cached.find(l);
@@ -74,16 +80,21 @@ void RedirectTable::l1_install(CoreId core, LineAddr l) {
     auto lru = std::min_element(
         t.cached.begin(), t.cached.end(),
         [](const auto& a, const auto& b) { return a.second < b.second; });
+    Slot* evicted = slot(lru->first);
+    assert(evicted && "first-level table caches only live entries");
+    evicted->holders &= ~bit(core);
     l2_install(lru->first);
     t.cached.erase(lru);
   }
   if (t.pinned.size() + t.cached.size() < params_.l1_table_entries) {
     t.cached.emplace(l, ++tick_);
+    s.holders |= bit(core);
   }
 }
 
-void RedirectTable::drop_from_caches(LineAddr l) {
-  for (auto& t : l1_) {
+void RedirectTable::drop_from_caches(LineAddr l, std::uint64_t holders) {
+  for (std::uint64_t m = holders; m != 0; m &= m - 1) {
+    L1Table& t = l1_[static_cast<CoreId>(std::countr_zero(m))];
     t.cached.erase(l);
     t.pinned.erase(l);
   }
@@ -92,7 +103,7 @@ void RedirectTable::drop_from_caches(LineAddr l) {
 
 RedirectTable::Lookup RedirectTable::lookup(CoreId core, LineAddr original) {
   ++stats_.lookups;
-  if (!summary_[core].test(original)) {
+  if (!summary(core).test(original)) {
     ++stats_.summary_filtered;
     return {};  // definitely not redirected, zero cost
   }
@@ -113,9 +124,10 @@ RedirectTable::Lookup RedirectTable::lookup(CoreId core, LineAddr original) {
   if (l2_contains(original)) {
     ++stats_.l2_hits;
     out.probe = params_.l2_table_latency;
-    l1_install(core, original);
-    out.entry = find(original);
-    assert(out.entry && "second-level table caches only live entries");
+    Slot* s = slot(original);
+    assert(s && "second-level table caches only live entries");
+    l1_install(core, *s);
+    out.entry = &s->entry;
     return out;
   }
 
@@ -124,13 +136,12 @@ RedirectTable::Lookup RedirectTable::lookup(CoreId core, LineAddr original) {
   // background (paper Section IV-A), so a summary false positive costs
   // nothing on the critical path; only a real swapped-out entry forces a
   // squash and a redone access.
-  const RedirectEntry* e = find(original);
-  if (e) {
+  if (Slot* s = slot(original)) {
     ++stats_.mem_hits;
     ++stats_.misspeculations;
     out.squash = params_.misspeculation_penalty;
-    l1_install(core, original);
-    out.entry = e;
+    l1_install(core, *s);
+    out.entry = &s->entry;
   } else {
     ++stats_.false_filter_hits;
   }
@@ -139,15 +150,19 @@ RedirectTable::Lookup RedirectTable::lookup(CoreId core, LineAddr original) {
 
 Cycle RedirectTable::insert_transient(const RedirectEntry& e) {
   assert(e.transient());
-  assert(!entries_.count(e.original));
-  entries_.emplace(e.original, e);
-  summary_[e.owner].add(e.original);
+  assert(local_.contains(e.owner) && "only local cores own entries");
+  auto [it, fresh] = entries_.emplace(e.original, Slot{e, 0});
+  assert(fresh);
+  Slot& s = it->second;
+  summary_[summary_index(e.owner)].add(e.original);
   SUVTM_OBS_HOOK(obs_, on_summary_add());
 
+  // A fresh entry: no first-level table holds its line yet.
   L1Table& t = l1_[e.owner];
-  t.cached.erase(e.original);
+  assert(!t.cached.contains(e.original));
   if (t.pinned.size() < params_.l1_table_entries) {
     t.pinned.insert(e.original);
+    s.holders = bit(e.owner);
     return params_.l1_table_latency;
   }
   // First-level overflow: the transient entry lives in the shared table.
@@ -158,13 +173,17 @@ Cycle RedirectTable::insert_transient(const RedirectEntry& e) {
 }
 
 Cycle RedirectTable::pin_transient(CoreId owner, LineAddr original) {
-  assert(entries_.count(original));
+  assert(local_.contains(owner) && "only local cores own entries");
+  Slot* s = slot(original);
+  assert(s);
   L1Table& t = l1_[owner];
   t.cached.erase(original);
   if (t.pinned.size() < params_.l1_table_entries) {
     t.pinned.insert(original);
+    s->holders |= bit(owner);
     return params_.l1_table_latency;
   }
+  s->holders &= ~bit(owner);
   ++stats_.l1_overflow_entries;
   SUVTM_OBS_HOOK(obs_, on_table_l1_overflow());
   l2_install(original);
@@ -172,20 +191,28 @@ Cycle RedirectTable::pin_transient(CoreId owner, LineAddr original) {
 }
 
 RedirectTable::FlipOutcome RedirectTable::commit_entry(LineAddr original) {
-  RedirectEntry* e = find(original);
-  assert(e && e->transient());
+  Slot* s = slot(original);
+  assert(s && s->entry.transient());
+  RedirectEntry* e = &s->entry;
   FlipOutcome out{false, e->target};
   const CoreId owner = e->owner;
+  assert(local_.contains(owner));
+  const std::uint64_t m = htm::Signature::mix(original);
   e->state = commit_flip(e->state);
   if (e->state == EntryState::kGlobalRedirect) {
     // Publish: visible to every core's summary filter from now on, and
     // written to the shared second-level table so other cores' first-level
     // tables can fill from it instead of faulting to the memory table.
-    for (std::size_t c = 0; c < summary_.size(); ++c) {
-      if (static_cast<CoreId>(c) != owner) {
-        summary_[c].add(original);
+    const std::size_t own = summary_index(owner);
+    for (std::size_t i = 0; i < local_.count; ++i) {
+      if (i != own) {
+        summary_[i].add_mixed(m);
         SUVTM_OBS_HOOK(obs_, on_summary_add());
       }
+    }
+    if (observers_ > 0) {
+      summary_.back().add_mixed(m);
+      SUVTM_OBS_HOOK(obs_, on_summary_add(observers_));
     }
     e->owner = kNoCore;
     L1Table& t = l1_[owner];
@@ -195,27 +222,33 @@ RedirectTable::FlipOutcome RedirectTable::commit_entry(LineAddr original) {
     // g1v0 -> g0v0: the redirection collapsed back to the original address.
     assert(e->state == EntryState::kInvalid);
     out.deleted = true;
-    for (auto& s : summary_) {
-      [[maybe_unused]] const bool stale = s.remove(original);
+    for (std::size_t i = 0; i < local_.count; ++i) {
+      [[maybe_unused]] const bool stale = summary_[i].remove_mixed(m);
       SUVTM_OBS_HOOK(obs_, on_summary_remove(stale));
     }
-    drop_from_caches(original);
+    if (observers_ > 0) {
+      [[maybe_unused]] const bool stale = summary_.back().remove_mixed(m);
+      SUVTM_OBS_HOOK(obs_, on_summary_remove(stale, observers_));
+    }
+    drop_from_caches(original, s->holders);
     entries_.erase(original);
   }
   return out;
 }
 
 RedirectTable::FlipOutcome RedirectTable::abort_entry(LineAddr original) {
-  RedirectEntry* e = find(original);
-  assert(e && e->transient());
+  Slot* s = slot(original);
+  assert(s && s->entry.transient());
+  RedirectEntry* e = &s->entry;
   FlipOutcome out{false, e->target};
   const CoreId owner = e->owner;
   e->state = abort_flip(e->state);
   if (e->state == EntryState::kInvalid) {
     out.deleted = true;
-    [[maybe_unused]] const bool stale = summary_[owner].remove(original);
+    [[maybe_unused]] const bool stale =
+        summary_[summary_index(owner)].remove(original);
     SUVTM_OBS_HOOK(obs_, on_summary_remove(stale));
-    drop_from_caches(original);
+    drop_from_caches(original, s->holders);
     entries_.erase(original);
   } else {
     // g1v0 -> g1v1: the pre-existing global redirection is restored.

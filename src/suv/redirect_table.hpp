@@ -13,6 +13,15 @@
 //
 // Every lookup is first filtered by the per-core redirect summary signature,
 // so un-redirected addresses (the common case) pay nothing.
+//
+// Flip cost: a table serves one simulation domain, and only the domain's
+// local cores run transactions, so only they can own entries. Every other
+// core (another shard's, reading through remote loads) receives exactly the
+// same summary updates -- every publish adds, every commit deletion
+// removes, and nothing else touches it -- so those observer cores share one
+// summary, which is bit-for-bit what each would hold. Each entry also
+// carries a holder mask naming the first-level tables that hold its line,
+// so a deletion clears those tables instead of all of them.
 #pragma once
 
 #include <algorithm>
@@ -64,7 +73,12 @@ inline void accumulate(TableStats& a, const TableStats& b) {
 
 class RedirectTable {
  public:
-  RedirectTable(const sim::SuvParams& p, std::uint32_t num_cores);
+  /// A table for `num_cores` cores, of which `local` may own entries.
+  RedirectTable(const sim::SuvParams& p, std::uint32_t num_cores,
+                CoreRange local);
+  /// A table whose cores are all local (a monolithic machine).
+  RedirectTable(const sim::SuvParams& p, std::uint32_t num_cores)
+      : RedirectTable(p, num_cores, CoreRange{0, num_cores}) {}
 
   struct Lookup {
     const RedirectEntry* entry = nullptr;  // nullptr: not redirected
@@ -120,9 +134,14 @@ class RedirectTable {
 
   /// Observability wiring (forwarded from SuvVm::set_obs).
   void set_obs(obs::Recorder* r) { obs_ = r; }
-  const SummarySignature& summary(CoreId core) const { return summary_[core]; }
+  /// `core`'s summary signature (observer cores share one).
+  const SummarySignature& summary(CoreId core) const {
+    return summary_[summary_index(core)];
+  }
   /// Mutable summary access for corruption-injection tests ONLY.
-  SummarySignature& summary_mut(CoreId core) { return summary_[core]; }
+  SummarySignature& summary_mut(CoreId core) {
+    return summary_[summary_index(core)];
+  }
 
   // --- structural-audit inspection -----------------------------------------
   /// Visit every live redirect entry (ground truth, both hardware levels
@@ -137,7 +156,18 @@ class RedirectTable {
     // lint: allow(nondet-iteration): order laundered by the sort below
     for (const auto& kv : entries_) originals.push_back(kv.first);
     std::sort(originals.begin(), originals.end());
-    for (LineAddr o : originals) fn(entries_.find(o)->second);
+    for (LineAddr o : originals) fn(entries_.find(o)->second.entry);
+  }
+  /// Holder mask of `original`'s live entry: bit c is set iff core c's
+  /// first-level table holds the line, pinned or cached (0 if no entry).
+  std::uint64_t holders(LineAddr original) const {
+    auto it = entries_.find(original);
+    return it == entries_.end() ? 0 : it->second.holders;
+  }
+  /// Mutable holder mask of a live entry, for corruption-injection tests
+  /// ONLY.
+  std::uint64_t& holders_mut(LineAddr original) {
+    return slot(original)->holders;
   }
   /// Originals pinned in `core`'s first-level table (transient entries).
   const FlatSet<LineAddr>& pinned(CoreId core) const {
@@ -163,8 +193,24 @@ class RedirectTable {
   struct L2Set {
     std::vector<std::pair<LineAddr, std::uint64_t>> ways;  // line, lru tick
   };
+  /// A ground-truth entry plus its holder mask (see holders()).
+  struct Slot {
+    RedirectEntry entry;
+    std::uint64_t holders = 0;
+  };
 
-  void l1_install(CoreId core, LineAddr l);
+  Slot* slot(LineAddr original) {
+    auto it = entries_.find(original);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  std::size_t summary_index(CoreId core) const {
+    return local_.contains(core) ? core - local_.first : local_.count;
+  }
+  static std::uint64_t bit(CoreId core) { return 1ull << core; }
+
+  /// Cache `s`'s line in `core`'s first-level table (LRU eviction to the
+  /// second level when full).
+  void l1_install(CoreId core, Slot& s);
   void l2_install(LineAddr l);
   /// Owner of `l`'s live entry, for spill attribution (kNoCore if global).
   CoreId entry_owner(LineAddr l) const {
@@ -175,15 +221,21 @@ class RedirectTable {
   void l2_erase(LineAddr l);
   L2Set& l2_set(LineAddr l) { return l2_sets_[l % l2_sets_.size()]; }
   const L2Set& l2_set(LineAddr l) const { return l2_sets_[l % l2_sets_.size()]; }
-  void drop_from_caches(LineAddr l);
+  /// Remove line `l` from the first-level tables in `holders` and from
+  /// the second level.
+  void drop_from_caches(LineAddr l, std::uint64_t holders);
 
   sim::SuvParams params_;
   /// Ground truth. Entry pointers from find() are invalidated by
   /// insert_transient/commit_entry/abort_entry (open addressing moves
   /// slots); all call sites finish with a pointer before mutating.
-  FlatMap<LineAddr, RedirectEntry> entries_;
+  FlatMap<LineAddr, Slot> entries_;
   std::vector<L1Table> l1_;
   std::vector<L2Set> l2_sets_;
+  CoreRange local_;
+  std::uint32_t observers_ = 0;  // cores outside local_
+  /// One summary per local core in core order, then (when observers_ > 0)
+  /// the one summary every observer core shares.
   std::vector<SummarySignature> summary_;
   std::uint64_t tick_ = 0;
   TableStats stats_;

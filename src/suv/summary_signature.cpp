@@ -13,8 +13,7 @@ SummarySignature::SummarySignature(std::uint32_t bits, std::uint32_t hashes)
 // as Signature::hash(l, i, bits_) would (double hashing with an odd step),
 // so the structure tests that predict bits via Signature::hash stay valid.
 
-void SummarySignature::add(LineAddr l) {
-  const std::uint64_t m = htm::Signature::mix(l);
+void SummarySignature::add_mixed(std::uint64_t m) {
   std::uint32_t b = static_cast<std::uint32_t>(m);
   const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
   for (std::uint32_t i = 0; i < k_; ++i, b += step) {
@@ -24,12 +23,11 @@ void SummarySignature::add(LineAddr l) {
   ++members_;
 }
 
-bool SummarySignature::remove(LineAddr l) {
+bool SummarySignature::remove_mixed(std::uint64_t m) {
   // Paper Figure 5: clear only the bits this address wrote *uniquely*;
   // shared (count > 1) bits are decremented but remain set, saturated
   // counters are left alone (the filter may only ever shrink toward the
   // truth, never under-approximate it).
-  const std::uint64_t m = htm::Signature::mix(l);
   std::uint32_t b = static_cast<std::uint32_t>(m);
   const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
   bool still_set = true;

@@ -22,11 +22,16 @@ class SummarySignature {
  public:
   SummarySignature(std::uint32_t bits, std::uint32_t hashes);
 
-  void add(LineAddr l);
+  void add(LineAddr l) { add_mixed(htm::Signature::mix(l)); }
   /// Returns true when the filter still tests positive for `l` afterwards
   /// (every one of its bits was shared or saturated -- a "stale" removal
   /// that keeps causing wasteful lookups).
-  bool remove(LineAddr l);
+  bool remove(LineAddr l) { return remove_mixed(htm::Signature::mix(l)); }
+
+  /// add/remove with the line's Signature::mix precomputed: a flip updates
+  /// many summaries with one line.
+  void add_mixed(std::uint64_t m);
+  bool remove_mixed(std::uint64_t m);
 
   /// True if `l` may be redirected (false positives possible, no false
   /// negatives for present lines).

@@ -61,14 +61,15 @@ Scheme scheme_from_string(std::string_view s) {
 }
 
 std::unique_ptr<htm::VersionManager> make_version_manager(
-    const SimConfig& cfg, mem::MemorySystem& mem) {
+    const SimConfig& cfg, mem::MemorySystem& mem, CoreRange local) {
   switch (cfg.scheme) {
     case Scheme::kLogTmSe:
       return std::make_unique<vm::LogTmSe>(cfg.htm, mem);
     case Scheme::kFasTm:
       return std::make_unique<vm::FasTm>(cfg.htm, mem);
     case Scheme::kSuv:
-      return std::make_unique<vm::SuvVm>(cfg.suv, mem, cfg.mem.num_cores);
+      return std::make_unique<vm::SuvVm>(cfg.suv, mem, cfg.mem.num_cores,
+                                         local);
     case Scheme::kDynTm:
       return std::make_unique<vm::DynTm>(
           cfg.htm, mem, std::make_unique<vm::FasTm>(cfg.htm, mem),
@@ -76,7 +77,7 @@ std::unique_ptr<htm::VersionManager> make_version_manager(
     case Scheme::kDynTmSuv:
       return std::make_unique<vm::DynTm>(
           cfg.htm, mem,
-          std::make_unique<vm::SuvVm>(cfg.suv, mem, cfg.mem.num_cores),
+          std::make_unique<vm::SuvVm>(cfg.suv, mem, cfg.mem.num_cores, local),
           /*suv_backend=*/true);
   }
   return nullptr;

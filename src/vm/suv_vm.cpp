@@ -13,8 +13,8 @@ Addr with_line(LineAddr l, Addr original) {
 }  // namespace
 
 SuvVm::SuvVm(const sim::SuvParams& p, mem::MemorySystem& mem,
-             std::uint32_t num_cores)
-    : params_(p), mem_(mem), table_(p, num_cores), owned_(num_cores),
+             std::uint32_t num_cores, CoreRange local)
+    : params_(p), mem_(mem), table_(p, num_cores, local), owned_(num_cores),
       suspended_owned_(num_cores) {
   pools_.reserve(num_cores);
   for (std::uint32_t c = 0; c < num_cores; ++c) {

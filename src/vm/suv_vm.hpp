@@ -45,8 +45,14 @@ inline void accumulate(SuvVmStats& a, const SuvVmStats& b) {
 
 class SuvVm final : public htm::VersionManager {
  public:
+  /// A version manager for `num_cores` cores, of which the domain runs
+  /// `local` (see suv::RedirectTable).
   SuvVm(const sim::SuvParams& p, mem::MemorySystem& mem,
-        std::uint32_t num_cores);
+        std::uint32_t num_cores, CoreRange local);
+  /// A version manager whose cores are all local (a monolithic machine).
+  SuvVm(const sim::SuvParams& p, mem::MemorySystem& mem,
+        std::uint32_t num_cores)
+      : SuvVm(p, mem, num_cores, CoreRange{0, num_cores}) {}
 
   const char* name() const override { return "SUV-TM"; }
 

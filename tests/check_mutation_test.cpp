@@ -108,6 +108,18 @@ TEST_F(MutationTest, DroppedTransientSummaryMembershipIsCaught) {
                        "summary misses its transient redirect"));
 }
 
+TEST_F(MutationTest, StaleHolderMaskIsCaught) {
+  run_writer();
+  const LineAddr line = line_of(0x100000);
+  ASSERT_NE(vm_->table().find(line), nullptr);
+  ASSERT_NE(vm_->table().holders(line), 0u)
+      << "the committed entry stays cached in its owner's first-level table";
+  // A deletion clears only the tables in the mask: a dropped bit would
+  // leave that core caching a dead entry.
+  vm_->table().holders_mut(line) = 0;
+  EXPECT_TRUE(mentions(audit_suv(*vm_, sim_.htm()), "holder mask"));
+}
+
 TEST_F(MutationTest, PoolRefcountImbalanceIsCaught) {
   run_writer();
   // A line handed out with no live entry targeting it is a leak.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "suv/redirect_table.hpp"
 
 namespace suvtm::suv {
@@ -194,6 +197,105 @@ TEST(RedirectTableTest, LookupCountsAreConsistent) {
   EXPECT_EQ(s.lookups,
             s.summary_filtered + s.l1_hits + s.l1_misses);
   EXPECT_EQ(s.l1_misses, s.l2_hits + s.mem_hits + s.false_filter_hits);
+}
+
+bool same_entry(const RedirectEntry* a, const RedirectEntry* b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  return a->original == b->original && a->target == b->target &&
+         a->state == b->state && a->owner == b->owner;
+}
+
+/// Bit c set iff core c's first-level table holds `l`, pinned or cached.
+std::uint64_t held_by(const RedirectTable& t, std::uint32_t cores, LineAddr l) {
+  std::uint64_t m = 0;
+  for (CoreId c = 0; c < cores; ++c) {
+    if (t.pinned(c).contains(l) || t.l1_cached(c).contains(l)) m |= 1ull << c;
+  }
+  return m;
+}
+
+// A shard's table keeps one summary per local core plus one summary shared
+// by every other core, and a deletion clears only the first-level tables
+// its holder mask names. Driven through the same random sequence as a
+// table whose 64 cores are all local, it must look the same from every
+// core after every step.
+TEST(RedirectTableTest, ObserverSummaryAndHolderMaskAreExact) {
+  constexpr std::uint32_t kCores = 64;
+  constexpr LineAddr kLines = 64;
+  sim::SuvParams p = small_params();
+  p.summary_signature_bits = 64;  // dense filters: shared and stale bits
+  RedirectTable shard(p, kCores, CoreRange{16, 16});
+  RedirectTable ref(p, kCores);
+  Rng rng(2012);
+  LineAddr next_target = 1ull << 34;
+  std::vector<LineAddr> transient;
+  std::vector<LineAddr> global;
+  const auto take = [&](std::vector<LineAddr>& v) {
+    const std::size_t i = rng.below(v.size());
+    const LineAddr l = v[i];
+    v[i] = v.back();
+    v.pop_back();
+    return l;
+  };
+  // Owners crowd onto two local cores so their pinned slots run out.
+  const auto local_core = [&] {
+    return static_cast<CoreId>(16 + rng.below(rng.chance(0.75) ? 2 : 16));
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t op = rng.below(8);
+    if (op < 2) {
+      const LineAddr l = rng.below(kLines);
+      if (ref.find(l) == nullptr) {
+        const RedirectEntry e = txn_entry(l, next_target++, local_core());
+        EXPECT_EQ(shard.insert_transient(e), ref.insert_transient(e));
+        transient.push_back(l);
+      }
+    } else if (op == 2 && !global.empty()) {
+      // Toggle a global entry back to its original (SuvVm::on_tx_store).
+      const LineAddr l = take(global);
+      const CoreId owner = local_core();
+      for (RedirectTable* t : {&shard, &ref}) {
+        RedirectEntry* e = t->find(l);
+        e->state = EntryState::kTxnUnredirect;
+        e->owner = owner;
+      }
+      EXPECT_EQ(shard.pin_transient(owner, l), ref.pin_transient(owner, l));
+      transient.push_back(l);
+    } else if (op < 5 && !transient.empty()) {
+      const LineAddr l = take(transient);
+      const bool commit = op == 3;
+      const auto a = commit ? shard.commit_entry(l) : shard.abort_entry(l);
+      const auto b = commit ? ref.commit_entry(l) : ref.abort_entry(l);
+      EXPECT_EQ(a.deleted, b.deleted);
+      EXPECT_EQ(a.target, b.target);
+      if (!b.deleted) global.push_back(l);
+    }
+    // Every core looks one line up, in both tables.
+    const LineAddr probe = rng.below(kLines);
+    for (CoreId c = 0; c < kCores; ++c) {
+      const auto a = shard.lookup(c, probe);
+      const auto b = ref.lookup(c, probe);
+      ASSERT_TRUE(same_entry(a.entry, b.entry)) << "step " << step;
+      ASSERT_EQ(a.probe, b.probe) << "step " << step;
+      ASSERT_EQ(a.squash, b.squash) << "step " << step;
+    }
+    ASSERT_EQ(shard.stats(), ref.stats()) << "step " << step;
+    for (LineAddr l = 0; l < kLines; ++l) {
+      for (CoreId c = 0; c < kCores; ++c) {
+        ASSERT_EQ(shard.summary(c).test(l), ref.summary(c).test(l))
+            << "step " << step << " core " << c << " line " << l;
+      }
+      ASSERT_EQ(shard.holders(l), held_by(shard, kCores, l)) << "step " << step;
+      ASSERT_EQ(ref.holders(l), held_by(ref, kCores, l)) << "step " << step;
+    }
+  }
+  // The sequence reached every path the two tables could disagree on.
+  const TableStats& s = ref.stats();
+  EXPECT_GT(s.l1_overflow_entries, 0u);
+  EXPECT_GT(s.l2_evictions, 0u);
+  EXPECT_GT(s.mem_hits, 0u);
+  EXPECT_GT(s.false_filter_hits, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -99,6 +100,47 @@ TEST(SchedulerTest, HeapOrdersLargeRandomishSchedule) {
   ASSERT_EQ(fired.size(), 1000u);
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
   EXPECT_EQ(s.events_processed(), 1000u);
+}
+
+/// A wake record that logs its firings, and throws on the `throw_on`-th.
+struct LoggingWake final : Wakeable {
+  std::vector<int>* order;
+  int id;
+  int fired = 0;
+  int throw_on = -1;
+  LoggingWake(std::vector<int>* o, int i) : order(o), id(i) {}
+  void on_wake() override {
+    if (fired++ == throw_on) throw std::runtime_error("wake failed");
+    order->push_back(id);
+  }
+};
+
+TEST(SchedulerTest, WakeEventsShareTheTimeAndInsertionOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  LoggingWake a(&order, 1);
+  LoggingWake b(&order, 3);
+  s.wake_at(5, a);
+  s.at(5, [&] { order.push_back(2); });
+  s.wake_at(5, b);
+  s.wake_at(3, b);
+  s.wake_after(Scheduler::kWheelSize * 3, a);  // via the overflow heap
+  EXPECT_TRUE(s.run(~Cycle{0}));
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 3, 1}));
+  EXPECT_EQ(s.events_processed(), 5u);
+}
+
+TEST(SchedulerTest, WakeExceptionsPropagateOutOfRun) {
+  Scheduler s;
+  std::vector<int> order;
+  LoggingWake w(&order, 7);
+  w.throw_on = 1;
+  s.wake_at(1, w);
+  s.wake_at(2, w);
+  s.wake_at(3, w);
+  EXPECT_THROW(s.run(100), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{7}));
+  EXPECT_EQ(s.now(), 2u);
 }
 
 TEST(SmallFnTest, InvokesInlineCallable) {
