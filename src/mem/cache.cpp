@@ -1,6 +1,8 @@
 #include "mem/cache.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 
 namespace suvtm::mem {
 
@@ -18,9 +20,10 @@ Cache::Cache(std::uint32_t total_bytes, std::uint32_t assoc)
     : num_sets_(total_bytes / kLineBytes / assoc), assoc_(assoc) {
   assert(num_sets_ > 0 && std::has_single_bit(num_sets_) &&
          "cache sets must be a power of two");
-  line_count_ = std::size_t{num_sets_} * assoc_;
-  lines_.reset(static_cast<Line*>(std::calloc(line_count_, sizeof(Line))));
-  assert(lines_ && "cache line array allocation failed");
+  // Throws std::bad_alloc on failure in every build.
+  lines_ = std::make_unique_for_overwrite<Line[]>(std::size_t{num_sets_} *
+                                                   assoc_);
+  written_.assign((std::size_t{num_sets_} + 63) / 64, 0);
 }
 
 Cache::Victim Cache::insert(LineAddr l, CohState st) {
@@ -29,7 +32,13 @@ Cache::Victim Cache::insert(LineAddr l, CohState st) {
     touch(*existing);
     return {};
   }
-  Line* set = set_of(l);
+  const std::uint32_t s = set_index(l);
+  Line* set = set_at(s);
+  if (!written(s)) {
+    // First fill: the set's memory is uninitialized until now.
+    written_[s >> 6] |= std::uint64_t{1} << (s & 63u);
+    std::fill_n(set, assoc_, Line{});
+  }
   // Choose the victim: first invalid way, else the LRU way, preferring
   // non-speculative lines.
   Line* victim = nullptr;
@@ -66,7 +75,9 @@ void Cache::invalidate(LineAddr l) {
 }
 
 std::uint32_t Cache::set_occupancy(LineAddr l) const {
-  const Line* set = set_of(l);
+  const std::uint32_t s = set_index(l);
+  if (!written(s)) return 0;
+  const Line* set = set_at(s);
   std::uint32_t n = 0;
   for (std::uint32_t w = 0; w < assoc_; ++w) {
     if (set[w].state != CohState::kInvalid) ++n;

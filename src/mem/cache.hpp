@@ -1,14 +1,17 @@
 // Generic set-associative tag array with true-LRU replacement.
 //
-// Tag-only: data lives in the BackingStore. Used for the per-core L1s, the
-// shared banked L2, and reused (with a different payload meaning) by the SUV
-// second-level redirect table.
+// Tag-only: data lives in the BackingStore. Used for the per-core L1s and
+// the shared banked L2. The tag array is never zeroed as a whole: a set is
+// zeroed on its first fill, and a per-set "written" bitmap makes every
+// unwritten set read as empty, so a run's construction cost does not grow
+// with the size of the machine's caches.
 #pragma once
 
-#include <cassert>
+#include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -21,10 +24,10 @@ const char* coh_state_name(CohState s);
 
 class Cache {
  public:
-  /// Trivially default-constructible on purpose: a simulator run constructs
-  /// megabytes of L2 lines, and all-zero bytes ARE the invalid state
-  /// (kInvalid == 0), so vector growth is a memset instead of a per-element
-  /// constructor loop. Aggregate-initialize when building a real line.
+  /// Trivially default-constructible on purpose: the tag array is allocated
+  /// without initialization, and a set's first fill value-initializes its
+  /// ways, all-zero being the invalid state (kInvalid == 0).
+  /// Aggregate-initialize when building a real line.
   struct Line {
     LineAddr tag;            // full line address (simpler than tag bits)
     std::uint64_t lru;
@@ -32,7 +35,7 @@ class Cache {
     bool speculative;        // FasTM SM bit
   };
   static_assert(static_cast<int>(CohState::kInvalid) == 0,
-                "zero-initialized lines must read as invalid");
+                "value-initialized lines must read as invalid");
   static_assert(sizeof(Line) == 24,
                 "a 4-way set of 24-byte lines spans at most two cache lines");
 
@@ -54,15 +57,12 @@ class Cache {
   /// Returns the line's entry if present (any valid state), else nullptr.
   /// Inline: this is the single most-called function in the memory system.
   Line* find(LineAddr l) {
-    Line* set = set_of(l);
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-      Line& ln = set[w];
-      if (ln.tag == l && ln.state != CohState::kInvalid) return &ln;
-    }
-    return nullptr;
+    return const_cast<Line*>(std::as_const(*this).find(l));
   }
   const Line* find(LineAddr l) const {
-    const Line* set = set_of(l);
+    const std::uint32_t s = set_index(l);
+    if (!written(s)) return nullptr;
+    const Line* set = set_at(s);
     for (std::uint32_t w = 0; w < assoc_; ++w) {
       const Line& ln = set[w];
       if (ln.tag == l && ln.state != CohState::kInvalid) return &ln;
@@ -81,23 +81,16 @@ class Cache {
   /// Remove the line if present (invalidation).
   void invalidate(LineAddr l);
 
-  /// Invoke `fn` for every valid line (e.g. flash-clear of SM bits).
-  /// Templated (not std::function) so the L1 walks done on every
-  /// commit/abort inline the callback instead of an indirect call. One
-  /// linear sweep over the contiguous line array, set-major.
+  /// Invoke `fn` for every valid line (e.g. flash-clear of SM bits), in
+  /// set-major order. Templated (not std::function) so the L1 walks inline
+  /// the callback instead of an indirect call.
   template <class Fn>
   void for_each(Fn&& fn) {
-    Line* const end = lines_.get() + line_count_;
-    for (Line* ln = lines_.get(); ln != end; ++ln) {
-      if (ln->state != CohState::kInvalid) fn(*ln);
-    }
+    walk(*this, fn);
   }
   template <class Fn>
   void for_each(Fn&& fn) const {
-    const Line* const end = lines_.get() + line_count_;
-    for (const Line* ln = lines_.get(); ln != end; ++ln) {
-      if (ln->state != CohState::kInvalid) fn(*ln);
-    }
+    walk(*this, fn);
   }
 
   /// Number of valid lines currently in `l`'s set.
@@ -107,24 +100,41 @@ class Cache {
   // All sets in one contiguous array, stride = assoc_: set s occupies
   // [s*assoc_, (s+1)*assoc_). One allocation, no per-set vector headers,
   // and a whole 4-way set of 24-byte lines spans at most two cache lines.
-  Line* set_of(LineAddr l) { return lines_.get() + std::size_t{set_index(l)} * assoc_; }
-  const Line* set_of(LineAddr l) const {
-    return lines_.get() + std::size_t{set_index(l)} * assoc_;
+  Line* set_at(std::uint32_t s) {
+    return lines_.get() + std::size_t{s} * assoc_;
+  }
+  const Line* set_at(std::uint32_t s) const {
+    return lines_.get() + std::size_t{s} * assoc_;
   }
 
-  struct FreeDeleter {
-    void operator()(void* p) const { std::free(p); }
-  };
+  /// Whether set `s` has been filled since construction. An unwritten
+  /// set's lines are uninitialized memory and read as empty.
+  bool written(std::uint32_t s) const {
+    return (written_[s >> 6] >> (s & 63u)) & 1u;
+  }
+
+  /// The set-major walk behind both for_each overloads: written sets only.
+  template <class Self, class Fn>
+  static void walk(Self& self, Fn& fn) {
+    for (std::uint32_t w = 0; w < self.written_.size(); ++w) {
+      for (std::uint64_t bits = self.written_[w]; bits != 0; bits &= bits - 1) {
+        auto* set = self.set_at(
+            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+        for (std::uint32_t i = 0; i < self.assoc_; ++i) {
+          if (set[i].state != CohState::kInvalid) fn(set[i]);
+        }
+      }
+    }
+  }
 
   std::uint32_t num_sets_;
   std::uint32_t assoc_;
   std::uint64_t tick_ = 0;
-  std::size_t line_count_ = 0;
-  // calloc-backed (Line is an implicit-lifetime type and all-zero == all
-  // invalid): a simulator run that touches a fraction of the multi-megabyte
-  // L2 tag array never faults in the untouched pages, where an eagerly
-  // zeroed vector made every Simulator construction pay for the full array.
-  std::unique_ptr<Line[], FreeDeleter> lines_;
+  // Allocated uninitialized: a run touches a fraction of the multi-megabyte
+  // L2 tag array, and insert() zeroes each set on its first fill, so
+  // construction costs the 2 KB bitmap below instead of a 3 MB memset.
+  std::unique_ptr<Line[]> lines_;
+  std::vector<std::uint64_t> written_;  // bit per set: filled at least once
 };
 
 }  // namespace suvtm::mem

@@ -42,17 +42,16 @@ bool Scheduler::run(Cycle limit) {
     const std::uint32_t idx = next_occupied(idx0);
     scan_t_ += (idx - idx0) & kWheelMask;
     if (scan_t_ > limit) return false;
-    Bucket* b = &wheel_[idx];
 
     // Batched same-cycle dispatch: drain the whole bucket. now_ advances
-    // once, and the index loop picks up events appended *during* the drain
+    // once, and the list walk picks up events appended *during* the drain
     // (an after(0) lands in this same bucket with a higher seq, exactly the
     // heap's tie-break). Callbacks may grow other buckets/overflow freely;
     // this bucket only ever grows at the tail.
     now_ = scan_t_;
-    std::size_t i = 0;
-    while (i < b->size()) {
-      const std::uint64_t payload = (*b)[i++];
+    std::uint64_t batch = 0;
+    for (std::uint32_t n = wheel_[idx].head; n != kNil; ++batch) {
+      const std::uint64_t payload = nodes_[n].payload;
       if ((payload & kTagMask) == 0) [[likely]] {
         std::coroutine_handle<>::from_address(
             reinterpret_cast<void*>(static_cast<std::uintptr_t>(payload)))
@@ -70,9 +69,13 @@ bool Scheduler::run(Cycle limit) {
         free_slots_.push_back(slot);
         fn();
       }
+      // Recycle n only after its handler returns: an append to this bucket
+      // links the new node behind the tail, which may be n itself.
+      const std::uint32_t next = nodes_[n].next;
+      nodes_[n].next = free_;
+      free_ = n;
+      n = next;
     }
-    const std::uint64_t batch = i;
-    b->clear();  // keeps capacity for the next lap of the wheel
     clear_occupied(idx);
     events_ += batch;
     pending_ -= batch;
@@ -85,22 +88,28 @@ bool Scheduler::run(Cycle limit) {
 }
 
 void Scheduler::trim_quiescent() {
-  // pending_ == 0 here: every slot is free and every bucket is empty, so
-  // dropping storage cannot reorder anything. Without this, one barrier
-  // release storm or retry burst pins its high-water allocation for the
-  // rest of the process (long sweeps reuse the embedding process).
-  if (slots_.size() > kSlotPoolTrim) {
-    slots_.resize(kSlotPoolTrim);
+  // pending_ == 0 here: every slot and every node is free and every bucket
+  // is empty, so dropping storage cannot reorder anything. Without this, one
+  // burst of pending events pins its high-water allocation for the rest of
+  // the process (long sweeps reuse the embedding process).
+  if (slots_.size() > kPoolTrim) {
+    slots_.resize(kPoolTrim);
     slots_.shrink_to_fit();
     free_slots_.clear();
     free_slots_.reserve(slots_.capacity());
     for (std::uint32_t s = static_cast<std::uint32_t>(slots_.size()); s > 0;)
       free_slots_.push_back(--s);
   }
-  for (Bucket& b : wheel_) {
-    if (b.capacity() > kBucketCapacityTrim) Bucket().swap(b);
+  if (nodes_.size() > kPoolTrim) {
+    nodes_.resize(kPoolTrim);
+    nodes_.shrink_to_fit();
+    free_ = kNil;
+    for (std::uint32_t n = static_cast<std::uint32_t>(nodes_.size()); n > 0;) {
+      nodes_[--n].next = free_;
+      free_ = n;
+    }
   }
-  if (overflow_.capacity() > kSlotPoolTrim) overflow_.shrink_to_fit();
+  if (overflow_.capacity() > kPoolTrim) overflow_.shrink_to_fit();
 }
 
 }  // namespace suvtm::sim

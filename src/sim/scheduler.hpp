@@ -11,8 +11,11 @@
 // kWheelSize per-cycle buckets covering the window [window_start_,
 // window_start_ + kWheelSize). Nearly every event in this simulator is an
 // `after(small delay)` (cache hits, NoC hops, stall retries, coroutine
-// resumes), so push and pop are O(1) appends/drains on a flat vector
-// instead of O(log n) heap sifts. Far-future events (deep backoff, the
+// resumes), so push and pop are O(1) list appends/drains instead of
+// O(log n) heap sifts. Each bucket is a FIFO of nodes threaded through one
+// pooled node array, so the wheel keeps no per-bucket storage and a run
+// allocates only as many nodes as events are ever pending at once (one per
+// core, plus the node being dispatched). Far-future events (deep backoff, the
 // wheel-edge spill as `now_` approaches the window end) park in a small
 // binary-heap overflow level keyed by (cycle, seq) and are re-bucketed in
 // key order when the window jumps forward, which preserves the global
@@ -66,9 +69,9 @@ class Scheduler {
   static constexpr std::uint32_t kWheelSize = 1u << kWheelBits;  // 2048 cycles
   static constexpr Cycle kWheelMask = kWheelSize - 1;
 
-  /// Quiescent-point trim thresholds (see trim_quiescent()).
-  static constexpr std::size_t kSlotPoolTrim = 1024;
-  static constexpr std::size_t kBucketCapacityTrim = 64;
+  /// Quiescent-point cap on the slot pool, the node pool and the overflow
+  /// heap's capacity (see trim_quiescent()).
+  static constexpr std::size_t kPoolTrim = 1024;
 
   Scheduler() : wheel_(kWheelSize) {}
 
@@ -138,6 +141,7 @@ class Scheduler {
 
   // ---- introspection for tests and diagnostics -----------------------------
   std::size_t slot_pool_capacity() const { return slots_.size(); }
+  std::size_t node_pool_size() const { return nodes_.size(); }
 
  private:
   /// Overflow key: full (t, seq) order so re-bucketing replays insertion
@@ -153,7 +157,20 @@ class Scheduler {
   };
   static_assert(sizeof(Key) <= 24, "overflow keys must stay small PODs");
 
-  using Bucket = std::vector<std::uint64_t>;
+  /// One pending bucketed event: its payload and the index of the next
+  /// node in its bucket's FIFO, or in the free list once recycled.
+  struct Node {
+    std::uint64_t payload;
+    std::uint32_t next;
+  };
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// A bucket's FIFO as first/last node indices; meaningful only while the
+  /// bucket's occupancy bit is set.
+  struct Bucket {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
 
   /// Payload tags (low two bits); tag 0 is a coroutine handle.
   static constexpr std::uint64_t kSlotTag = 1;
@@ -176,16 +193,35 @@ class Scheduler {
     // Invariant outside run(): window_start_ <= now_ <= t, so the unsigned
     // difference below is exact.
     if (t - window_start_ < kWheelSize) [[likely]] {
-      const std::uint32_t idx = static_cast<std::uint32_t>(t & kWheelMask);
-      wheel_[idx].push_back(payload);
-      mark_occupied(idx);
-      ++window_count_;
+      append(static_cast<std::uint32_t>(t & kWheelMask), payload);
       // Events may be (re)scheduled at cycles the scan cursor already
       // passed without dispatching (e.g. at(now()) between run() calls).
       if (t < scan_t_) scan_t_ = t;
     } else {
       push_overflow(t, payload);
     }
+  }
+
+  /// Append `payload` at the tail of bucket `idx`, taking a node from the
+  /// free list or growing the pool.
+  void append(std::uint32_t idx, std::uint64_t payload) {
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = nodes_[n].next;
+      nodes_[n] = Node{payload, kNil};
+    } else {
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{payload, kNil});
+    }
+    Bucket& b = wheel_[idx];
+    if (occupied(idx)) {
+      nodes_[b.tail].next = n;
+    } else {
+      b.head = n;
+      mark_occupied(idx);
+    }
+    b.tail = n;
+    ++window_count_;
   }
 
   /// The far-future branch of push(), kept out of line so the inlined
@@ -199,6 +235,10 @@ class Scheduler {
   // sparse in time (memory latencies spread events ~150 cycles apart).
   static constexpr std::uint32_t kOccWords = kWheelSize / 64;
   static_assert(kOccWords <= 64, "summary must fit one word");
+
+  bool occupied(std::uint32_t idx) const {
+    return (occ_[idx >> 6] >> (idx & 63u)) & 1u;
+  }
 
   void mark_occupied(std::uint32_t idx) {
     occ_[idx >> 6] |= 1ull << (idx & 63u);
@@ -234,18 +274,13 @@ class Scheduler {
     while (!overflow_.empty() &&
            overflow_.front().t - window_start_ < kWheelSize) {
       const Key k = pop_min();
-      const std::uint32_t idx = static_cast<std::uint32_t>(k.t & kWheelMask);
-      // Amortized wheel-edge transit; bucket capacity is retained across
-      // windows (clear() keeps it).  // lint: allow(growth-in-loop)
-      wheel_[idx].push_back(k.payload);
-      mark_occupied(idx);
-      ++window_count_;
+      append(static_cast<std::uint32_t>(k.t & kWheelMask), k.payload);
     }
   }
 
   /// Release bursty high-water storage once the queue is quiescent
-  /// (pending_ == 0): barrier-release storms and deep retry storms grow the
-  /// slot pool and bucket capacities, and nothing ever shrank them before.
+  /// (pending_ == 0): a burst of pending events grows the slot pool, the
+  /// node pool and the overflow heap, and nothing else shrinks them.
   void trim_quiescent();
 
   /// Place `k` into the overflow heap starting the upward search at hole
@@ -293,6 +328,8 @@ class Scheduler {
   std::size_t window_count_ = 0;  // bucketed events only
   obs::Recorder* obs_ = nullptr;
   std::vector<Bucket> wheel_;     // kWheelSize per-cycle FIFO buckets
+  std::vector<Node> nodes_;       // node pool behind every bucket
+  std::uint32_t free_ = kNil;     // free-list head, threaded through next
   std::uint64_t occ_[kOccWords] = {};  // bit per non-empty bucket
   std::uint64_t occ_summary_ = 0;      // bit w set iff occ_[w] != 0
   std::vector<Key> overflow_;     // binary min-heap by (t, seq)

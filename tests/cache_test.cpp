@@ -131,6 +131,33 @@ TEST(CacheTest, DifferentSetsDoNotInterfere) {
   for (LineAddr l = 0; l < 8; ++l) EXPECT_NE(c.find(l), nullptr);
 }
 
+TEST(CacheTest, ReusedTagArrayReadsAsEmpty) {
+  // The tag array is allocated uninitialized. Freed and reallocated at the
+  // same size, the heap normally hands the old block straight back, still
+  // holding the previous cache's valid lines: the new cache must read as
+  // empty anyway. 64 KB / 4-way is a 24 KB array, below the allocator's
+  // mmap threshold, so the block is recycled rather than freshly mapped.
+  constexpr std::uint32_t kBytes = 64 * 1024;
+  constexpr std::uint32_t kAssoc = 4;
+  const LineAddr lines = LineAddr{kBytes / kLineBytes};
+  {
+    Cache old(kBytes, kAssoc);
+    for (LineAddr l = 0; l < lines; ++l) old.insert(l, CohState::kModified);
+    for (LineAddr l = 0; l < lines; ++l) ASSERT_NE(old.find(l), nullptr);
+  }
+  Cache c(kBytes, kAssoc);
+  for (LineAddr l = 0; l < lines; ++l) {
+    EXPECT_EQ(c.find(l), nullptr) << "line " << l;
+    EXPECT_EQ(c.set_occupancy(l), 0u) << "line " << l;
+  }
+  int visited = 0;
+  c.for_each([&](const Cache::Line&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  for (std::uint32_t s = 0; s < c.num_sets(); ++s) {
+    EXPECT_FALSE(c.insert(lines + s, CohState::kShared).valid) << "set " << s;
+  }
+}
+
 TEST(CohStateTest, Names) {
   EXPECT_STREQ(coh_state_name(CohState::kInvalid), "I");
   EXPECT_STREQ(coh_state_name(CohState::kShared), "S");

@@ -6,7 +6,8 @@
 // The runs: bayes and yada at scale 0.05 under all five schemes, and one
 // 64-core 4-shard ShardedKv point at 1 and at 4 host threads. The same
 // runs also pin that simulator events never park in the scheduler's
-// SmallFn slot pool.
+// SmallFn slot pool and that each domain has at most one pending event
+// per core.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -72,10 +73,16 @@ sim::SimConfig base_cfg(sim::Scheme scheme) {
   return cfg;
 }
 
-void expect_empty_slot_pools(sim::Simulator& sim, const std::string& what) {
+/// Simulator events never park in the SmallFn slot pool, and a domain never
+/// has more than one bucketed event pending per core: its node pool holds
+/// at most that many plus the node held while its event dispatches.
+void expect_event_pools(sim::Simulator& sim, const std::string& what) {
+  const std::size_t cores = sim.shard_map().cores_per_shard;
   for (std::uint32_t d = 0; d < sim.num_domains(); ++d) {
     EXPECT_EQ(sim.scheduler(d).slot_pool_capacity(), 0u)
         << what << " domain " << d << " parked a SmallFn callback";
+    EXPECT_LE(sim.scheduler(d).node_pool_size(), cores + 1)
+        << what << " domain " << d << " had more than one event per core";
   }
 }
 
@@ -87,7 +94,7 @@ runner::RunResult run_stamp(stamp::AppId app, sim::Scheme scheme) {
   workload->build(sim, params);
   sim.run();
   workload->verify(sim);
-  expect_empty_slot_pools(sim, stamp::app_name(app));
+  expect_event_pools(sim, stamp::app_name(app));
   return runner::harvest_result(sim, stamp::app_name(app));
 }
 
@@ -113,7 +120,7 @@ runner::RunResult run_kv64(std::uint32_t host_threads) {
   wl.build(sim);
   sim.run();
   wl.verify(sim);
-  expect_empty_slot_pools(sim, "sharded_kv");
+  expect_event_pools(sim, "sharded_kv");
   return runner::harvest_result(sim, "sharded_kv");
 }
 
