@@ -76,7 +76,7 @@ void Checker::grant_audit_slow(CoreId c, LineAddr line, bool exclusive,
   for (CoreId o = 0; o < txns.size(); ++o) {
     if (o == c) continue;
     const htm::Txn* t = txns[o];
-    if (!t || !t->holds_isolation() || t->doomed) continue;
+    if (!t || !t->active() || t->doomed) continue;
     const char* why = nullptr;
     if (t->lazy && t->state == htm::TxnState::kRunning) {
       // Buffered writes confer no coherence permission; only an exclusive

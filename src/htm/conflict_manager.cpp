@@ -92,7 +92,7 @@ ConflictManager::Decision ConflictManager::check_slow(
   for (std::uint64_t m = cand; m != 0; m &= m - 1) {
     const CoreId c = static_cast<CoreId>(std::countr_zero(m));
     const Txn* t = txns[c];
-    if (!t || !t->holds_isolation()) continue;
+    if (!t || !t->active()) continue;
     const bool holder_lazy_running =
         t->lazy && t->state == TxnState::kRunning;
     bool hit;

@@ -19,14 +19,11 @@ enum class TxnState : std::uint8_t { kIdle, kRunning, kCommitting, kAborting };
 
 const char* txn_state_name(TxnState s);
 
-/// Closed-nesting frame (LogTM-Nested style): each nesting level snapshots
-/// how much transactional state the level added, so an inner abort can
+/// Closed-nesting frame (LogTM-Nested style): each nesting level records
+/// the scheme's rollback position at its entry, so an inner abort can
 /// partially roll back.
 struct NestFrame {
-  std::size_t undo_mark;       // undo-log length at frame entry
-  std::uint64_t read_sig_mark; // signature add-counts at frame entry
-  std::uint64_t write_sig_mark;
-  std::size_t vm_mark;         // scheme-specific rollback position
+  std::size_t vm_mark;  // VersionManager::nest_mark at frame entry
 };
 
 struct Txn {
@@ -45,7 +42,7 @@ struct Txn {
   /// keyed on it.
   std::uint32_t site = 0;
 
-  std::uint32_t depth = 0;  // nesting depth; outermost == 1
+  /// One frame per open nested level; empty at the outermost level.
   std::vector<NestFrame> frames;
 
   Signature read_sig;
@@ -75,13 +72,12 @@ struct Txn {
   std::size_t degen_undo_mark = 0;  // undo length when degeneration began
   std::uint64_t attempts = 0; // attempt count for the current atomic block
 
+  /// Running, committing or aborting: the transaction holds isolation.
   bool active() const { return state != TxnState::kIdle; }
-  bool holds_isolation() const { return state != TxnState::kIdle; }
 
   /// Reset per-attempt state. The timestamp survives (progress guarantee).
   void reset_attempt() {
     state = TxnState::kIdle;
-    depth = 0;
     frames.clear();
     read_sig.clear();
     write_sig.clear();

@@ -85,6 +85,11 @@ void SimConfig::validate() const {
   check_pow2(suv.summary_signature_bits, "suv.summary_signature_bits");
   check_hashes(suv.summary_signature_hashes, "suv.summary_signature_hashes");
   if (suv.l2_table_assoc == 0) invalid("suv.l2_table_assoc", "must be nonzero");
+  if (htm.stall_retry_interval == 0) {
+    // A zero interval re-arms a NACKed access or a lost commit arbitration
+    // in the cycle being drained, so simulated time never advances.
+    invalid("htm.stall_retry_interval", "must be nonzero");
+  }
   if (mem.num_cores % std::max<std::uint32_t>(1, pdes.shards) != 0) {
     invalid("pdes.shards",
             "must divide mem.num_cores (cores partition into equal "

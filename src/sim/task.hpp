@@ -19,18 +19,16 @@
 
 #include <coroutine>
 #include <exception>
+#include <type_traits>
 #include <utility>
-#include <variant>
 
 namespace suvtm::sim {
-
-template <class T>
-class Task;
 
 namespace detail {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
+  std::exception_ptr error;
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }
@@ -44,6 +42,21 @@ struct PromiseBase {
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
+  void unhandled_exception() { error = std::current_exception(); }
+};
+
+/// The result slot: Task<T> stores the returned value, Task<void> nothing.
+template <class T>
+struct Promise : PromiseBase {
+  // Stays T{} when a transaction abort unwinds the frame before it
+  // returns; the awaiting root discards it.
+  T value{};
+  void return_value(T v) { value = std::move(v); }
+};
+
+template <>
+struct Promise<void> : PromiseBase {
+  void return_void() {}
 };
 
 }  // namespace detail
@@ -53,15 +66,9 @@ struct PromiseBase {
 template <class T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::variant<std::monostate, T, std::exception_ptr> result;
-
+  struct promise_type : detail::Promise<T> {
     Task get_return_object() {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_value(T v) { result.template emplace<1>(std::move(v)); }
-    void unhandled_exception() {
-      result.template emplace<2>(std::current_exception());
     }
   };
 
@@ -83,54 +90,9 @@ class [[nodiscard]] Task {
     return h_;
   }
   T await_resume() {
-    auto& r = h_.promise().result;
-    if (r.index() == 2) std::rethrow_exception(std::get<2>(r));
-    // No result: a transaction abort unwound this frame before it returned,
-    // and the awaiting root discards the value.
-    if (r.index() == 0) return T{};
-    return std::move(std::get<1>(r));
-  }
-
- private:
-  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
-  void destroy() {
-    if (h_) h_.destroy();
-  }
-  std::coroutine_handle<promise_type> h_{};
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    std::exception_ptr error;
-
-    Task get_return_object() {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_void() {}
-    void unhandled_exception() { error = std::current_exception(); }
-  };
-
-  Task(Task&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      h_ = std::exchange(o.h_, nullptr);
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
-    h_.promise().continuation = awaiter;
-    return h_;
-  }
-  void await_resume() {
-    if (h_.promise().error) std::rethrow_exception(h_.promise().error);
+    promise_type& p = h_.promise();
+    if (p.error) std::rethrow_exception(p.error);
+    if constexpr (!std::is_void_v<T>) return std::move(p.value);
   }
 
  private:

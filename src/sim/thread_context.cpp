@@ -266,10 +266,8 @@ void ThreadContext::issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h) {
   guard_no_pending_abort();
   htm::Txn& t = txn();
   if (t.state == htm::TxnState::kRunning) {
-    // Closed nesting: push a frame recording current transactional extent.
-    ++t.depth;
-    t.frames.push_back({t.undo.size(), t.read_sig.adds(), t.write_sig.adds(),
-                        htm_.vm().nest_mark(t)});
+    // Closed nesting: push a frame recording the scheme's rollback mark.
+    t.frames.push_back({htm_.vm().nest_mark(t)});
     SUVTM_CHECK_HOOK(checker_, on_frame_push(core_));
     ++htm_.stats().nested_begins;
     attempt_.add_trans(cfg_.htm.checkpoint_latency);
@@ -280,7 +278,6 @@ void ThreadContext::issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h) {
   root_ = h;
   t.state = htm::TxnState::kRunning;
   htm_.conflicts().set_isolation(core_, true);
-  t.depth = 1;
   t.site = aw.site;
   if (!t.has_timestamp) {
     t.timestamp = (sched_.now() << 5) | core_;
@@ -304,9 +301,8 @@ void ThreadContext::issue_commit(std::coroutine_handle<> h) {
     start_abort();
     return;
   }
-  if (t.depth > 1) {
+  if (!t.frames.empty()) {
     // Closed-nested commit: merge into the parent (keep signatures/log).
-    --t.depth;
     t.frames.pop_back();
     SUVTM_CHECK_HOOK(checker_, on_frame_pop(core_));
     attempt_.add_trans(1);
@@ -359,7 +355,7 @@ void ThreadContext::issue_rollback_inner(RollbackInnerAwaiter& aw,
                                          std::coroutine_handle<> h) {
   guard_no_pending_abort();
   htm::Txn& t = txn();
-  assert(t.state == htm::TxnState::kRunning && t.depth > 1 &&
+  assert(t.state == htm::TxnState::kRunning && !t.frames.empty() &&
          "tx_rollback_inner requires an open nested frame");
   if (t.doomed || !htm_.vm().supports_partial_abort(t)) {
     // Fall back to a full abort; the root restarts the transaction.
@@ -368,7 +364,6 @@ void ThreadContext::issue_rollback_inner(RollbackInnerAwaiter& aw,
   }
   const htm::NestFrame frame = t.frames.back();
   t.frames.pop_back();
-  --t.depth;
   const Cycle cost = htm_.vm().partial_abort(t, frame.vm_mark);
   SUVTM_CHECK_HOOK(checker_, on_frame_rollback(core_));
   // The frame's work was wasted; the partial rollback holds isolation.

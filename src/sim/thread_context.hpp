@@ -152,7 +152,8 @@ class ThreadContext final : private Wakeable {
   /// popped, leaving the outer transaction running. Returns true on a
   /// partial rollback. If the scheme cannot partially abort (DynTM lazy
   /// mode) or the transaction is already doomed, the whole transaction
-  /// aborts instead and the root restarts it. Must be called at depth > 1.
+  /// aborts instead and the root restarts it. Must be called inside an
+  /// open nested frame.
   RollbackInnerAwaiter tx_rollback_inner() { return {*this}; }
   /// Wait at `b`; time is charged to the Barrier bucket.
   BarrierAwaiter barrier(Barrier& b) {

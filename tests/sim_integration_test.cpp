@@ -326,6 +326,8 @@ TEST(SimConfigValidateTest, SimulatorRejectsEachUnmodellableField) {
       {"suv.l2_table_assoc",
        [](sim::SimConfig& c) { c.suv.l2_table_assoc = 0; }},
       {"pdes.shards", [](sim::SimConfig& c) { c.pdes.shards = 3; }},
+      {"htm.stall_retry_interval",
+       [](sim::SimConfig& c) { c.htm.stall_retry_interval = 0; }},
   };
   for (const auto& [field, mutate] : cases) {
     SCOPED_TRACE(field);

@@ -10,8 +10,7 @@ TEST(TxnTest, InitialState) {
   EXPECT_EQ(t.core, 3u);
   EXPECT_EQ(t.state, TxnState::kIdle);
   EXPECT_FALSE(t.active());
-  EXPECT_FALSE(t.holds_isolation());
-  EXPECT_EQ(t.depth, 0u);
+  EXPECT_TRUE(t.frames.empty());
 }
 
 TEST(TxnTest, ActiveStates) {
@@ -20,7 +19,6 @@ TEST(TxnTest, ActiveStates) {
                      TxnState::kAborting}) {
     t.state = s;
     EXPECT_TRUE(t.active());
-    EXPECT_TRUE(t.holds_isolation());
   }
 }
 
@@ -67,14 +65,17 @@ TEST(TxnTest, ResetCommittedDropsTimestamp) {
 TEST(TxnTest, NestFramesRecordMarks) {
   Txn t(0, 2048, 2);
   t.state = TxnState::kRunning;
-  t.depth = 1;
+  EXPECT_TRUE(t.frames.empty());  // outermost level: no frame
+  // The default VersionManager::nest_mark is the undo-log length.
   t.undo.emplace_back(0, 0);
-  t.read_sig.add(1);
-  t.frames.push_back(
-      {t.undo.size(), t.read_sig.adds(), t.write_sig.adds(), 0});
-  EXPECT_EQ(t.frames.back().undo_mark, 1u);
-  EXPECT_EQ(t.frames.back().read_sig_mark, 1u);
-  EXPECT_EQ(t.frames.back().write_sig_mark, 0u);
+  t.frames.push_back({t.undo.size()});
+  t.undo.emplace_back(8, 0);
+  t.frames.push_back({t.undo.size()});
+  EXPECT_EQ(t.frames.back().vm_mark, 2u);
+  t.frames.pop_back();  // inner commit: merge into the parent frame
+  EXPECT_EQ(t.frames.back().vm_mark, 1u);
+  t.reset_attempt();
+  EXPECT_TRUE(t.frames.empty());
 }
 
 TEST(TxnTest, StateNames) {
