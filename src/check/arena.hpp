@@ -261,10 +261,27 @@ class ShadowStore {
     });
   }
 
+  /// Visit every page in ascending page order as fn(id, page).
+  template <class Fn>
+  void for_each_page_sorted(Fn&& fn) const {
+    pages_.for_each_sorted(fn);
+  }
+
   /// Read-only page view for the checker's untouched-word sweep (nullptr
   /// when no replayed access touched the page). Word `i`'s committed-write
   /// bit is `written[i >> 6] >> (i & 63) & 1`.
   const Page* page(std::uint64_t id) const { return pages_.find(id); }
+
+  /// Bit j set iff a[j] != b[j], over 64 words: the page sweeps compare a
+  /// bitmap word's worth of words at a time and mask the result with it.
+  static std::uint64_t differing(const std::uint64_t* a,
+                                 const std::uint64_t* b) {
+    std::uint64_t diff = 0;
+    for (std::uint32_t j = 0; j < 64; ++j) {
+      diff |= static_cast<std::uint64_t>(a[j] != b[j]) << j;
+    }
+    return diff;
+  }
 
  private:
   static std::uint32_t word_index(Addr a) {

@@ -1,6 +1,7 @@
 #include "check/audit.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/format.hpp"
 #include "common/flat_hash.hpp"
@@ -240,6 +241,17 @@ std::vector<std::string> audit_suv(const vm::SuvVm& suv,
     });
   }
 
+  // Holder masks as the first-level tables describe them, built in one
+  // pass over each core's table rather than 2 x cores probes per entry.
+  FlatMap<LineAddr, std::uint64_t> held;
+  for (CoreId c = 0; c < cores; ++c) {
+    const std::uint64_t bit = 1ull << c;
+    // lint: allow(nondet-iteration): OR-accumulation is order-free
+    for (LineAddr l : table.pinned(c)) held[l] |= bit;
+    // lint: allow(nondet-iteration): OR-accumulation is order-free
+    for (const auto& kv : table.l1_cached(c)) held[kv.first] |= bit;
+  }
+
   FlatSet<LineAddr> targets;
   std::vector<std::uint64_t> pool_lines(cores, 0);
   table.for_each_entry([&](const suv::RedirectEntry& e) {
@@ -296,19 +308,14 @@ std::vector<std::string> audit_suv(const vm::SuvVm& suv,
     }
     // Holder mask: a deletion clears only the first-level tables the mask
     // names, so a missing bit would leave a dangling cached line behind.
-    std::uint64_t held = 0;
-    for (CoreId c = 0; c < cores; ++c) {
-      if (table.pinned(c).contains(e.original) ||
-          table.l1_cached(c).contains(e.original)) {
-        held |= 1ull << c;
-      }
-    }
-    if (table.holders(e.original) != held) {
+    const auto held_it = held.find(e.original);
+    const std::uint64_t holding = held_it == held.end() ? 0 : held_it->second;
+    if (table.holders(e.original) != holding) {
       out.push_back(format(
           "suv: entry for %#llx has holder mask %#llx but the first-level "
           "tables holding it are %#llx",
           orig, static_cast<unsigned long long>(table.holders(e.original)),
-          static_cast<unsigned long long>(held)));
+          static_cast<unsigned long long>(holding)));
     }
     if (!suv::PreservedPool::in_pool_region(e.target)) {
       out.push_back(format(
@@ -382,6 +389,23 @@ std::vector<std::string> audit_suv(const vm::SuvVm& suv,
   return out;
 }
 
+std::vector<std::string> audit_parked(const htm::HtmSystem& htm) {
+  std::vector<std::string> out;
+  const auto& cm = htm.conflicts();
+  for (std::uint64_t p = cm.parked_mask(); p != 0; p &= p - 1) {
+    const CoreId c = static_cast<CoreId>(std::countr_zero(p));
+    if (cm.park_holds(c, htm.txn_view())) continue;
+    const auto& m = cm.park_memo(c);
+    out.push_back(format(
+        "parked: core %u's %s retry of line %#llx is parked on core %u's %s "
+        "NACK, but re-checking it now decides differently",
+        c, m.is_write ? "write" : "read",
+        static_cast<unsigned long long>(m.line), m.holder,
+        m.exact ? "exact" : "false"));
+  }
+  return out;
+}
+
 std::vector<std::string> audit_abort(const htm::HtmSystem& htm,
                                      const vm::SuvVm* suv, CoreId core) {
   std::vector<std::string> out;
@@ -440,6 +464,9 @@ std::vector<std::string> audit_all(const mem::MemorySystem& mem,
     out.insert(out.end(), std::make_move_iterator(sv.begin()),
                std::make_move_iterator(sv.end()));
   }
+  auto parked = audit_parked(htm);
+  out.insert(out.end(), std::make_move_iterator(parked.begin()),
+             std::make_move_iterator(parked.end()));
   return out;
 }
 

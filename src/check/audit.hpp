@@ -12,6 +12,8 @@
 //   - SUV: redirect entries, summary signatures, table caches, pinned sets,
 //     pool accounting and per-transaction ownership lists all describe the
 //     same single live version of every redirected line.
+//   - Parked retries: every parked core's memoized stall is still the
+//     decision its retry would reach.
 #pragma once
 
 #include <string>
@@ -43,6 +45,13 @@ std::vector<std::string> audit_signatures(const htm::HtmSystem& htm);
 /// table levels cache only live entries.
 std::vector<std::string> audit_suv(const vm::SuvVm& suv,
                                    const htm::HtmSystem& htm);
+
+/// Every parked NACK retry still repeats its memoized decision: the
+/// conflict manager's rules, re-evaluated side-effect free over the live
+/// transactions, give the same holder, the same exactness and a plain
+/// stall. A mismatch means a trigger that should have unparked the core
+/// did not fire.
+std::vector<std::string> audit_parked(const htm::HtmSystem& htm);
 
 /// Abort-scoped audit, O(aborted footprint): runs after every abort
 /// completes, while the descriptor still holds the attempt's sets. Checks

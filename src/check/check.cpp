@@ -1,6 +1,7 @@
 #include "check/check.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "check/audit.hpp"
@@ -127,18 +128,41 @@ void Checker::run_abort_audits(CoreId c) {
 }
 
 void Checker::finalize() {
-  // Redirection is line-granular (debug_resolve preserves the offset
-  // within the line), so both sweeps resolve once per line and read the
-  // line's words directly.
-  oracle_.finalize(
-      [this, last_line = ~LineAddr{0}, delta = Addr{0}](Addr a) mutable {
-        const LineAddr line = line_of(a);
-        if (line != last_line) {
-          const Addr lb = line << kLineShift;
-          delta = htm_.vm().debug_resolve(kNoCore, lb) - lb;
-          last_line = line;
-        }
-        return mem_.load_word(a + delta);
+  // Only SUV redirects lines, and only lines its table holds an entry for;
+  // every other line reads in place. So both sweeps below read a page's
+  // backing words directly and resolve through the VM only the lines that
+  // have an entry (debug_resolve preserves the offset within the line).
+  FlatMap<std::uint64_t, std::uint64_t> entry_lines;  // page -> line bits
+  if (suv_ != nullptr) {
+    suv_->table().for_each_original_unordered([&](LineAddr original) {
+      entry_lines[original / kLinesPerPage] |= 1ull
+                                               << (original % kLinesPerPage);
+    });
+  }
+  static constexpr SnapshotPage kZeroPage{};
+  SnapshotPage resolved{};
+  const auto final_words = [&](std::uint64_t page) -> const std::uint64_t* {
+    const std::uint64_t* now = mem_.backing().page_words(page);
+    if (now == nullptr) now = kZeroPage.data();
+    const auto it = entry_lines.find(page);
+    if (it == entry_lines.end()) return now;
+    std::copy(now, now + resolved.size(), resolved.begin());
+    for (std::uint64_t m = it->second; m != 0; m &= m - 1) {
+      const auto line = static_cast<std::uint32_t>(std::countr_zero(m));
+      const Addr lb = page * kPageBytes + line * kLineBytes;
+      const Addr to = htm_.vm().debug_resolve(kNoCore, lb);
+      for (std::uint32_t w = 0; w < kWordsPerLine; ++w) {
+        resolved[line * kWordsPerLine + w] =
+            mem_.load_word(to + w * kWordBytes);
+      }
+    }
+    return resolved.data();
+  };
+
+  oracle_.finish();
+  oracle_.check_final_image(
+      [&](std::uint64_t page, const ShadowStore::Page&) {
+        return final_words(page);
       });
   for (const std::string& v : oracle_.violations()) violation(v);
 
@@ -152,30 +176,24 @@ void Checker::finalize() {
       const Addr base = page * kPageBytes;
       if (base >= kRedirectPoolBase) return;
       const auto snap_it = snapshot_.find(page);
-      const SnapshotPage* snap =
-          snap_it == snapshot_.end() ? nullptr : snap_it->second.get();
+      const SnapshotPage& before =
+          snap_it == snapshot_.end() ? kZeroPage : *snap_it->second;
+      const std::uint64_t* now = final_words(page);
       const ShadowStore::Page* replayed = oracle_.replay_page(page);
-      for (Addr lb = base; lb < base + kPageBytes; lb += kLineBytes) {
-        const Addr resolved = htm_.vm().debug_resolve(kNoCore, lb);
-        for (std::uint32_t w = 0; w < kWordsPerLine; ++w) {
-          const Addr a = lb + w * kWordBytes;
-          const auto i =
-              static_cast<std::uint32_t>((a & (kPageBytes - 1)) / kWordBytes);
-          if (replayed != nullptr &&
-              (replayed->written[i >> 6] >> (i & 63) & 1) != 0) {
-            continue;
-          }
-          const std::uint64_t expect = snap == nullptr ? 0 : (*snap)[i];
-          const std::uint64_t got = mem_.load_word(resolved + w * kWordBytes);
-          if (got != expect && swept_violations < 8) {
-            ++swept_violations;
-            violation(format(
-                "image: word %#llx was never committed-written yet changed "
-                "from %#llx to %#llx",
-                static_cast<unsigned long long>(a),
-                static_cast<unsigned long long>(expect),
-                static_cast<unsigned long long>(got)));
-          }
+      for (std::uint32_t k = 0; k < ShadowStore::kWords / 64; ++k) {
+        std::uint64_t diff =
+            ShadowStore::differing(now + k * 64, before.data() + k * 64);
+        if (replayed != nullptr) diff &= ~replayed->written[k];
+        for (; diff != 0 && swept_violations < 8; diff &= diff - 1) {
+          ++swept_violations;
+          const std::uint32_t i =
+              k * 64 + static_cast<std::uint32_t>(std::countr_zero(diff));
+          violation(format(
+              "image: word %#llx was never committed-written yet changed "
+              "from %#llx to %#llx",
+              static_cast<unsigned long long>(base + i * kWordBytes),
+              static_cast<unsigned long long>(before[i]),
+              static_cast<unsigned long long>(now[i])));
         }
       }
     });
@@ -183,15 +201,23 @@ void Checker::finalize() {
 
   run_audits();
 
-  if (!violations_.empty()) {
-    std::string msg = format("correctness check failed (%zu violations):",
-                             violations_.size());
-    for (const std::string& v : violations_) {
-      msg += "\n  ";
-      msg += v;
-    }
-    throw CheckFailure(msg);
+  throw_if_violated();
+}
+
+void Checker::check_overrun() {
+  run_audits();
+  throw_if_violated();
+}
+
+void Checker::throw_if_violated() const {
+  if (violations_.empty()) return;
+  std::string msg = format("correctness check failed (%zu violations):",
+                           violations_.size());
+  for (const std::string& v : violations_) {
+    msg += "\n  ";
+    msg += v;
   }
+  throw CheckFailure(msg);
 }
 
 void Checker::violation(std::string msg) {

@@ -83,6 +83,11 @@ class Checker {
   /// Drain the oracle, replay, and run every audit. Throws CheckFailure
   /// listing the violations if any check failed.
   void finalize();
+  /// The run stopped at the cycle cap, so finalize() will not run: run
+  /// the structural audits once more and throw CheckFailure if they, or
+  /// any check before them, found a violation. (A livelock leaves no
+  /// commit to trigger a sampled audit.)
+  void check_overrun();
 
   // ---- simulator hooks (see thread_context.cpp / htm_system.cpp) -----------
   void on_begin(CoreId c, Cycle now) { oracle_.on_begin(c, now); }
@@ -135,6 +140,7 @@ class Checker {
                         bool requester_lazy);
   void run_audits();
   void run_abort_audits(CoreId c);
+  void throw_if_violated() const;
   void violation(std::string msg);
 
   const sim::SimConfig& cfg_;

@@ -424,9 +424,7 @@ void HistoryOracle::replay_txn(RecStream& recs) {
   recs.consume(pool_, [this](const AccessRec& a) { replay_one(a); });
 }
 
-void HistoryOracle::finalize(
-    // lint: allow(std-function): once-per-run entry point, not a sim path
-    const std::function<std::uint64_t(Addr)>& resolved_load) {
+void HistoryOracle::finish() {
   for (CoreId c = 0; c < staged_.size(); ++c) {
     if (staged_[c].active) {
       violation(format("core %u: transaction still active at end of run", c));
@@ -441,19 +439,13 @@ void HistoryOracle::finalize(
   window_sigs_.clear();
   window_sig_union_.rw.clear();
   window_sig_union_.wr.clear();
-  if (!resolved_load) return;
-  // Sweep the final image in ascending word order: violation() caps the
-  // report at 64, so the walk must be deterministic for the lowest
-  // addresses to win (ShadowStore's sorted visit guarantees that).
-  shadow_.for_each_defined_sorted(
-      [&](Addr w, std::uint64_t expect, bool /*written*/) {
-        const std::uint64_t actual = resolved_load(w);
-        if (actual != expect) {
-          violation(format("final state: word %#" PRIx64 " is %#" PRIx64
-                           " but serial replay yields %#" PRIx64,
-                           w, actual, expect));
-        }
-      });
+}
+
+void HistoryOracle::final_image_mismatch(Addr w, std::uint64_t actual,
+                                         std::uint64_t expect) {
+  violation(format("final state: word %#" PRIx64 " is %#" PRIx64
+                   " but serial replay yields %#" PRIx64,
+                   w, actual, expect));
 }
 
 FlatMap<Addr, std::uint64_t> HistoryOracle::replay_image() const {

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -87,12 +88,53 @@ class HistoryOracle {
   void on_suspend(CoreId c);
   void on_resume(CoreId c);
 
-  /// Drain every pending record, then compare the replayed model memory
-  /// against the simulator (resolved_load must follow live redirections).
-  /// Violations found at any stage accumulate in violations().
-  /// Runs once per simulation, so the type-erased callback is fine here.
+  /// Drain every pending record and flag transactions still open or
+  /// suspended. Violations found at any stage accumulate in violations().
+  void finish();
+
+  /// Compare the replayed model memory against the simulator, one page
+  /// at a time: `final_words(page_id, replay_page)` returns the page's
+  /// final 512 words as the simulator resolves them (following live
+  /// redirections), valid until the next call. Only the replay's defined
+  /// words are compared. Pages and words are visited in ascending order,
+  /// so the capped report keeps the lowest addresses.
+  template <class PageWords>
+  void check_final_image(PageWords&& final_words) {
+    shadow_.for_each_page_sorted(
+        [&](std::uint64_t id, const ShadowStore::Page& p) {
+          const std::uint64_t* now = final_words(id, p);
+          for (std::uint32_t k = 0; k < ShadowStore::kWords / 64; ++k) {
+            std::uint64_t diff =
+                ShadowStore::differing(p.val + k * 64, now + k * 64) &
+                p.defined[k];
+            for (; diff != 0; diff &= diff - 1) {
+              const std::uint32_t i =
+                  k * 64 + static_cast<std::uint32_t>(std::countr_zero(diff));
+              final_image_mismatch(id * kPageBytes + i * kWordBytes, now[i],
+                                   p.val[i]);
+            }
+          }
+        });
+  }
+
+  /// finish(), then check_final_image() with each defined word read
+  /// through `resolved_load` (which must follow live redirections). The
+  /// Checker calls the two halves itself with a page-at-a-time reader;
+  /// this type-erased entry point serves tests and reference comparisons.
   // lint: allow(std-function): once-per-run entry point, not a sim path
-  void finalize(const std::function<std::uint64_t(Addr)>& resolved_load);
+  void finalize(const std::function<std::uint64_t(Addr)>& resolved_load) {
+    finish();
+    if (!resolved_load) return;
+    std::array<std::uint64_t, ShadowStore::kWords> words{};
+    check_final_image([&](std::uint64_t id, const ShadowStore::Page& p) {
+      for (std::uint32_t i = 0; i < ShadowStore::kWords; ++i) {
+        if ((p.defined[i >> 6] >> (i & 63) & 1) != 0) {
+          words[i] = resolved_load(id * kPageBytes + i * kWordBytes);
+        }
+      }
+      return words.data();
+    });
+  }
 
   std::uint64_t committed_txns() const { return commit_seq_; }
   std::uint64_t replayed_accesses() const { return replayed_; }
@@ -246,6 +288,8 @@ class HistoryOracle {
   void replay_one(const AccessRec& a);
   std::uint64_t horizon(Cycle now) const;
   void violation(std::string msg);
+  void final_image_mismatch(Addr w, std::uint64_t actual,
+                            std::uint64_t expect);
 
   ArenaPool pool_;
   std::vector<Staged> staged_;                    // by core

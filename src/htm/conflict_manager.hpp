@@ -10,6 +10,13 @@
 // deadlock; the youngest transaction (latest first-attempt timestamp) in the
 // cycle aborts, which matches LogTM's possible-cycle rule closely enough to
 // preserve both progress and the paper's pathology dynamics.
+//
+// Parked retries: a plain stall's decision is a function of few inputs (the
+// requester's line and access kind, the cores at or below the holder and
+// the holder's exact sets), so the manager memoizes it per core and parks
+// the core's wake record (sim::Park) until one of those inputs changes.
+// The scheduler then re-links the parked retries without re-checking, and
+// the core settles their stats in bulk (DESIGN.md section 3).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +28,10 @@
 #include "htm/txn.hpp"
 #include "obs/obs.hpp"
 #include "sim/config.hpp"
+
+namespace suvtm::sim {
+struct Park;
+}
 
 namespace suvtm::htm {
 
@@ -125,6 +136,9 @@ class ConflictManager {
     } else {
       isolation_mask_ &= ~bit;
       clear_columns(core);
+      // A holder's release can turn its parked requesters' stall into a
+      // grant. (A begin needs no unpark: its signatures start empty.)
+      if (parked_mask_ != 0) unpark_if(core, kHolderIs);
     }
   }
 
@@ -138,11 +152,13 @@ class ConflictManager {
     const std::uint64_t m = Signature::mix(l);
     set_column_bits(read_cols_, core, m);
     touched_[core].push_back(m);
+    if (parked_mask_ != 0) watch(core, l, m, /*write=*/false);
   }
   void note_write(CoreId core, LineAddr l) {
     const std::uint64_t m = Signature::mix(l);
     set_column_bits(write_cols_, core, m);
     touched_[core].push_back(m);
+    if (parked_mask_ != 0) watch(core, l, m, /*write=*/true);
   }
 
   /// Rebuild `core`'s column bits from a transaction whose signatures were
@@ -160,7 +176,60 @@ class ConflictManager {
   void set_suspended_summary(const Signature* reads, const Signature* writes) {
     suspended_reads_ = reads;
     suspended_writes_ = writes;
+    // Suspend and resume move whole transactions between the cores and
+    // the summaries; they are rare, so every parked core re-checks.
+    if (parked_mask_ != 0) unpark_if(0, kAny);
   }
+
+  // ---- parked retries -------------------------------------------------------
+  /// The inputs of a memoized plain stall: the retry's access and what
+  /// check() concluded about it.
+  struct ParkMemo {
+    LineAddr line = 0;
+    std::uint64_t mix = 0;  // Signature::mix(line)
+    CoreId holder = kNoCore;
+    bool is_write = false;
+    bool requester_lazy = false;
+    bool requester_tx = false;  // the requester's txn was running
+    bool exact = false;         // the holder's exact sets hold the line
+  };
+
+  /// Let `core`'s NACK retries park: from now on every plain stall check()
+  /// returns to `core` -- a holder, no victim, not a suspended-summary
+  /// stall -- records a ParkMemo and sets `park->parked`, and every change
+  /// that can alter that decision clears it again. Cores that never
+  /// register (PDES remote requesters) never park.
+  void enable_parking(CoreId core, sim::Park* park) { parks_[core] = park; }
+
+  bool parked(CoreId core) const { return (parked_mask_ >> core) & 1u; }
+  std::uint64_t parked_mask() const { return parked_mask_; }
+  /// The latest memo of `core`; it outlives the park until the core's next
+  /// real retry, which settles the skipped ones with it.
+  const ParkMemo& park_memo(CoreId core) const { return memo_[core]; }
+
+  /// Count `n` skipped retries of `core` the way the checks they skipped
+  /// would have: n NACKs, all of them false if the memo's was.
+  void settle_parked(CoreId core, std::uint64_t n) {
+    stats_.conflicts += n;
+    if (!memo_[core].exact) stats_.false_conflicts += n;
+  }
+
+  /// `t` just left kRunning (commit or abort start). Only a running lazy
+  /// transaction is matched by the narrower DynTM rules, so a lazy one
+  /// unparks every core stalled on it or on a holder above it; a non-lazy
+  /// one changes nothing check() reads.
+  void left_running(const Txn& t) {
+    if (t.lazy && parked_mask_ != 0) unpark_if(t.core, kHolderAtOrAbove);
+  }
+
+  /// Drop `core`'s park, if any (HtmSystem::doom: a doomed requester
+  /// aborts at its next retry instead of re-checking).
+  void unpark(CoreId core);
+
+  /// Audit support: re-derive a parked core's decision from the live
+  /// transactions with check()'s rules and no side effects. True iff a
+  /// retry now would repeat the memoized plain stall.
+  bool park_holds(CoreId core, const std::vector<Txn*>& txns) const;
 
   const ConflictStats& stats() const { return stats_; }
 
@@ -194,6 +263,36 @@ class ConflictManager {
   Decision check_slow(CoreId core, LineAddr line, bool is_write,
                       bool requester_lazy, const std::vector<Txn*>& txns,
                       std::uint64_t lm, std::uint64_t cand);
+
+  /// The conflict matrix over `cand`: the first core (lowest id) whose
+  /// real signatures conflict with the access, whether its exact sets hold
+  /// the line, and the running lazy readers a write would invalidate on
+  /// the way. Side-effect free.
+  struct Scan {
+    CoreId holder = kNoCore;
+    bool exact = false;
+    std::uint64_t lazy_readers = 0;
+  };
+  Scan scan(LineAddr line, bool is_write, bool requester_lazy,
+            const std::vector<Txn*>& txns, std::uint64_t lm,
+            std::uint64_t cand) const;
+
+  /// The requester-wins rule: an older running requester dooms a holder
+  /// that is not yet committing.
+  bool requester_wins(const Txn* self, const Txn& holder) const {
+    return policy_ == sim::ConflictPolicy::kRequesterWins && self &&
+           self->active() && holder.state != TxnState::kCommitting &&
+           self->timestamp < holder.timestamp;
+  }
+
+  void park(CoreId core, const ParkMemo& memo);
+  /// `core` noted line `l` (mix `m`) into its write (or read) signature:
+  /// unpark every core whose parked decision that can change.
+  void watch(CoreId core, LineAddr l, std::uint64_t m, bool write);
+  /// Unpark the parked cores whose memo's holder relates to `core` as
+  /// `rel` says (kAny: all of them).
+  enum Relation : std::uint8_t { kHolderIs, kHolderAtOrAbove, kAny };
+  void unpark_if(CoreId core, Relation rel);
 
   /// Walk the wait-for chain from `start`; returns true if it reaches
   /// `target` (a cycle, given target is about to wait on start's chain).
@@ -249,6 +348,17 @@ class ConflictManager {
   const Signature* suspended_writes_ = nullptr;
   ConflictStats stats_;
   obs::Recorder* obs_ = nullptr;
+
+  // ---- parked retries -------------------------------------------------------
+  std::vector<sim::Park*> parks_;  // per core; nullptr: never parks
+  std::vector<ParkMemo> memo_;
+  std::uint64_t parked_mask_ = 0;  // cores whose park is set
+  /// Watch columns, same geometry as the signature columns: bit p of word
+  /// idx is set iff parked core p's line sets filter bit idx. A noted line
+  /// can only make a signature hit a parked line if they share a bit, so
+  /// one OR over the noted line's k words finds every parked core it may
+  /// affect. Allocated at the first park.
+  std::vector<std::uint64_t> watch_cols_;
 };
 
 }  // namespace suvtm::htm

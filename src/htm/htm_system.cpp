@@ -98,6 +98,8 @@ void HtmSystem::doom(CoreId victim, AbortCause cause) {
   if (!t.active() || t.state == TxnState::kCommitting) return;
   if (!t.doomed) t.doom_cause = cause;
   t.doomed = true;
+  // A doomed requester aborts at its next retry instead of stalling again.
+  conflicts_.unpark(victim);
 }
 
 bool HtmSystem::acquire_commit_token(CoreId c) {

@@ -52,6 +52,7 @@ class HtmSystem {
   Txn& txn(CoreId c) { return *txns_[c]; }
   const Txn& txn(CoreId c) const { return *txns_[c]; }
   std::vector<Txn*>& txn_view() { return txn_view_; }
+  const std::vector<Txn*>& txn_view() const { return txn_view_; }
 
   VersionManager& vm() { return *vm_; }
   const VersionManager& vm() const { return *vm_; }

@@ -56,6 +56,12 @@ class Recorder {
   void on_abort_window(CoreId c, Cycle t, Cycle window, htm::AbortCause cause);
   void on_txn_abort(CoreId c, Cycle t);
   void on_stall(CoreId c, Cycle t, CoreId holder, LineAddr line, Cycle wait);
+  /// `n` parked NACK retries settled at once. Each would have been an
+  /// on_stall() inside the stall span its first NACK opened, which only
+  /// counts.
+  void on_parked_stalls(CoreId /*c*/, std::uint64_t n) {
+    metrics_.add(Counter::kStallRetries, n);
+  }
   void on_access_granted(CoreId c, Cycle t) {
     if (cores_[c].stall_open) close_stall(c, t);
   }

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <cassert>
 #include <string>
 #include <utility>
 
@@ -57,9 +58,19 @@ bool Scheduler::run(Cycle limit) {
             reinterpret_cast<void*>(static_cast<std::uintptr_t>(payload)))
             .resume();
       } else if (payload & kWakeTag) {
-        reinterpret_cast<Wakeable*>(
-            static_cast<std::uintptr_t>(payload & ~kTagMask))
-            ->on_wake();
+        Wakeable* w = reinterpret_cast<Wakeable*>(
+            static_cast<std::uintptr_t>(payload & ~kTagMask));
+        if (w->park.parked) {
+          // A provably repeated retry: re-arm it the way its on_wake()
+          // would have, without the call. interval > 0, so the node lands
+          // in a later bucket (or the overflow heap), never this one.
+          assert(w->park.interval > 0);
+          ++w->park.skipped;
+          ++parked_wakes_;
+          push(now_ + w->park.interval, payload);
+        } else {
+          w->on_wake();
+        }
       } else {
         const auto slot = static_cast<std::uint32_t>(payload >> 2);
         // Move the callback out before running it: fn may schedule new

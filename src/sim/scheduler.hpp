@@ -16,7 +16,7 @@
 // pooled node array, so the wheel keeps no per-bucket storage and a run
 // allocates only as many nodes as events are ever pending at once (one per
 // core, plus the node being dispatched). Far-future events (deep backoff, the
-// wheel-edge spill as `now_` approaches the window end) park in a small
+// wheel-edge spill as `now_` approaches the window end) wait in a small
 // binary-heap overflow level keyed by (cycle, seq) and are re-bucketed in
 // key order when the window jumps forward, which preserves the global
 // (cycle, insertion-seq) dispatch order bit-exactly: overflow events always
@@ -28,7 +28,9 @@
 // construction, no type-erased call), a Wakeable record's address (tag 2;
 // a core's NACK retries, commit/abort completions), or (slot << 2) | 1 into
 // a free-listed SmallFn slot pool for external callbacks (tests, harnesses).
-// Simulator events never touch the slot pool.
+// Simulator events never touch the slot pool. A parked Wakeable (see Park)
+// is re-linked instead of dispatched: a NACKed core's provably repeated
+// retries cost one push each, not a conflict re-check.
 //
 // run() dispatches per *bucket*, not per event: `now_` advances once per
 // simulated cycle, and the observability cycle-cache/sampler update is one
@@ -47,12 +49,32 @@
 
 namespace suvtm::sim {
 
+/// A Wakeable's parked-retry state. While `parked` is set, Scheduler::run
+/// does not call the record's on_wake(): it re-links the record `interval`
+/// cycles ahead through the ordinary push and counts the skip in
+/// `skipped`. The re-link is exactly what an on_wake() that only re-armed
+/// the record would have done -- same seq, same bucket or overflow-heap
+/// path, same event count -- so a skipped wake keeps its cycle, its
+/// same-cycle order and its place in events_processed(). Whoever sets
+/// `parked` (htm::ConflictManager, for a NACKed core whose retry provably
+/// repeats its decision) clears it on every change that could make the
+/// skipped call act differently; the owner settles `skipped` at its next
+/// real wake.
+struct Park {
+  Cycle interval = 0;         // re-link distance while parked (> 0)
+  std::uint64_t skipped = 0;  // wakes re-linked since the owner settled
+  bool parked = false;
+};
+
 /// An intrusive event record: Scheduler::wake_at schedules its address as
-/// the event payload, and dispatch is one virtual call. The record must
-/// outlive its pending events.
+/// the event payload, and dispatch is one virtual call (or, while `park` is
+/// parked, a re-link without the call). The record must outlive its
+/// pending events.
 class Wakeable {
  public:
   virtual void on_wake() = 0;
+
+  Park park;
 
  protected:
   ~Wakeable() = default;
@@ -134,6 +156,9 @@ class Scheduler {
 
   std::size_t pending() const { return pending_; }
   std::uint64_t events_processed() const { return events_; }
+  /// Wake events re-linked without dispatch because their record was
+  /// parked (counted in events_processed() too). Host diagnostics only.
+  std::uint64_t parked_wakes() const { return parked_wakes_; }
 
   /// Observability: the run loop advances the recorder's cycle cache and
   /// drives its periodic occupancy sampler (nullptr = off).
@@ -324,6 +349,7 @@ class Scheduler {
   Cycle scan_t_ = 0;        // next cycle run() inspects (>= now_)
   std::uint64_t seq_ = 0;
   std::uint64_t events_ = 0;
+  std::uint64_t parked_wakes_ = 0;
   std::size_t pending_ = 0;       // bucketed + overflow events
   std::size_t window_count_ = 0;  // bucketed events only
   obs::Recorder* obs_ = nullptr;
@@ -333,7 +359,7 @@ class Scheduler {
   std::uint64_t occ_[kOccWords] = {};  // bit per non-empty bucket
   std::uint64_t occ_summary_ = 0;      // bit w set iff occ_[w] != 0
   std::vector<Key> overflow_;     // binary min-heap by (t, seq)
-  std::vector<SmallFn> slots_;    // parked callbacks, indexed by payload>>2
+  std::vector<SmallFn> slots_;    // pending callbacks, indexed by payload>>2
   std::vector<std::uint32_t> free_slots_;
 };
 

@@ -182,11 +182,19 @@ void Simulator::run() {
     // the serial path's direct propagation out of Scheduler::run.
     rt.rethrow_domain_error();
   }
+  // A core the cycle cap stopped mid-stall may still be parked.
+  for (auto& c : contexts_) c->settle_parked();
 
   for (auto& t : threads_) {
     if (t->error) std::rethrow_exception(t->error);
   }
   if (!finished) {
+    // A violation the checker finds now (say, a parked retry whose
+    // decision went stale, spinning forever) explains the runaway better
+    // than the cap does.
+    for (auto& d : domains_) {
+      if (d->checker) d->checker->check_overrun();
+    }
     throw std::runtime_error("simulation exceeded max_cycles limit");
   }
   for (auto& t : threads_) {

@@ -20,7 +20,10 @@ ThreadContext::ThreadContext(CoreId core, const SimConfig& cfg,
                              obs::Recorder* obs, const RemotePort* port)
     : core_(core), cfg_(cfg), sched_(sched), mem_(mem), htm_(htm),
       txn_(&htm.txn(core)), breakdown_(breakdown), rng_(rng_seed),
-      checker_(checker), obs_(obs), port_(port) {}
+      checker_(checker), obs_(obs), port_(port) {
+  park.interval = cfg.htm.stall_retry_interval;
+  htm.conflicts().enable_parking(core, &park);
+}
 
 bool ThreadContext::in_tx() const {
   return txn_->state == htm::TxnState::kRunning;
@@ -43,10 +46,22 @@ void ThreadContext::arm_wake(WakeKind kind, Cycle delay, MemAwaiter* aw,
   sched_.wake_after(delay, *this);
 }
 
+void ThreadContext::settle_parked() {
+  const std::uint64_t n = std::exchange(park.skipped, 0);
+  if (n == 0) return;
+  htm::ConflictManager& cm = htm_.conflicts();
+  cm.settle_parked(core_, n);
+  const Cycle w = n * cfg_.htm.stall_retry_interval;
+  if (cm.park_memo(core_).requester_tx) attempt_.add_stalled(w);
+  else breakdown_.add(Bucket::kNoTrans, w);
+  SUVTM_OBS_HOOK(obs_, on_parked_stalls(core_, n));
+}
+
 void ThreadContext::on_wake() {
   // Free the slot first: every handler below may arm the next wake.
   switch (std::exchange(wake_kind_, WakeKind::kNone)) {
     case WakeKind::kMemRetry:
+      settle_parked();
       issue_mem(*wake_aw_, wake_h_);
       return;
     case WakeKind::kCommitRetry:
@@ -68,6 +83,7 @@ void ThreadContext::start_abort() {
   htm::Txn& t = txn();
   assert(t.active());
   t.state = htm::TxnState::kAborting;
+  htm_.conflicts().left_running(t);
   // Undoomed paths reaching here are the nested-rollback fallback (partial
   // abort unsupported): tag them so the abort-cause attribution stays total.
   if (!t.doomed) t.doom_cause = htm::AbortCause::kNestingFallback;
@@ -326,6 +342,7 @@ void ThreadContext::issue_commit(std::coroutine_handle<> h) {
   }
 
   t.state = htm::TxnState::kCommitting;
+  htm_.conflicts().left_running(t);
   htm_.conflicts().clear_wait(core_);  // a committer waits on no one
   SUVTM_CHECK_HOOK(checker_, on_commit_start(core_, sched_.now()));
   const Cycle cost = htm_.vm().commit_cost(t);

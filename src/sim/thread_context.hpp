@@ -15,7 +15,10 @@
 // the events that are not plain coroutine resumes -- a NACKed access's
 // retry, a lost commit arbitration's retry, and the commit and abort
 // completions -- share one per-core slot, scheduled as the context's own
-// address (Scheduler::wake_at) and dispatched by on_wake().
+// address (Scheduler::wake_at) and dispatched by on_wake(). The slot's park
+// state is registered with the conflict manager, which parks a NACK retry
+// that provably repeats its stall; the scheduler then re-links it without
+// calling on_wake(), and settle_parked() books the skipped retries.
 #pragma once
 
 #include <coroutine>
@@ -169,6 +172,14 @@ class ThreadContext final : private Wakeable {
 
   CoreId core() const { return core_; }
   bool in_tx() const;
+
+  /// Book the NACK retries the scheduler skipped while this core was
+  /// parked, as the skipped retries would have: their conflict stats,
+  /// their Stalled (or NoTrans) cycles and their obs stall count. Runs at
+  /// the core's next real retry, and from Simulator::run for a core still
+  /// parked when the run stops.
+  void settle_parked();
+
   Rng& rng() { return rng_; }
   Breakdown& breakdown() { return breakdown_; }
 

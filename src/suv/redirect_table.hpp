@@ -158,6 +158,13 @@ class RedirectTable {
     std::sort(originals.begin(), originals.end());
     for (LineAddr o : originals) fn(entries_.find(o)->second.entry);
   }
+  /// Visit every live entry's original line in hash order, for consumers
+  /// whose result does not depend on the order (building a set).
+  template <class Fn>
+  void for_each_original_unordered(Fn&& fn) const {
+    // lint: allow(nondet-iteration): callers only build order-free sets
+    for (const auto& kv : entries_) fn(kv.first);
+  }
   /// Holder mask of `original`'s live entry: bit c is set iff core c's
   /// first-level table holds the line, pinned or cached (0 if no entry).
   std::uint64_t holders(LineAddr original) const {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "check/check.hpp"
 #include "mem/cache.hpp"
 #include "sim/simulator.hpp"
+#include "stamp/framework.hpp"
 #include "vm/suv_vm.hpp"
 
 namespace suvtm::check {
@@ -183,6 +185,63 @@ TEST_F(MutationTest, SuspendedSummaryGapIsCaught) {
                        "suspended read summary"));
 }
 
+// ---- parked-retry audit ------------------------------------------------------
+
+sim::ThreadTask hold_line(sim::ThreadContext& tc, Addr a) {
+  co_await tc.tx_begin(1);
+  co_await tc.store(a, 7);
+  co_await tc.compute(100000);
+  co_await tc.tx_commit();
+}
+
+sim::ThreadTask read_line_later(sim::ThreadContext& tc, Addr a) {
+  co_await tc.compute(200);
+  co_await tc.tx_begin(2);
+  (void)co_await tc.load(a);
+  co_await tc.tx_commit();
+}
+
+/// Stopped mid-run with core 2's read of kLine parked on core 1's write,
+/// while core 0 -- below the holder -- runs a transaction of its own.
+class ParkedAuditTest : public MutationTest {
+ protected:
+  static constexpr Addr kLine = 0x200000;
+
+  ParkedAuditTest() {
+    sim_.spawn(0, hold_line(sim_.context(0), 0x300000));
+    sim_.spawn(1, hold_line(sim_.context(1), kLine));
+    sim_.spawn(2, read_line_later(sim_.context(2), kLine));
+    EXPECT_FALSE(sim_.scheduler().run(3000)) << "the holders still run";
+  }
+
+  std::vector<std::string> audit() { return audit_parked(sim_.htm()); }
+};
+
+TEST_F(ParkedAuditTest, BaselineIsParkedAndClean) {
+  const auto& cm = sim_.htm().conflicts();
+  ASSERT_TRUE(cm.parked(2));
+  EXPECT_EQ(cm.park_memo(2).holder, 1u);
+  EXPECT_GT(sim_.scheduler().parked_wakes(), 0u);
+  EXPECT_TRUE(audit().empty());
+}
+
+TEST_F(ParkedAuditTest, DroppedHolderReleaseTriggerIsCaught) {
+  // The holder's transaction ends without the isolation release that
+  // unparks its requesters.
+  sim_.htm().txn(1).reset_committed();
+  EXPECT_TRUE(mentions(audit(), "parked: core 2"));
+  EXPECT_TRUE(mentions(audit_all(sim_.mem(), sim_.htm(), vm_), "parked:"));
+}
+
+TEST_F(ParkedAuditTest, DroppedWatchTriggerIsCaught) {
+  // Core 0, below the holder, writes the parked line without the note (and
+  // so without the watch-column probe) that unparks core 2.
+  htm::Txn& t = sim_.htm().txn(0);
+  t.write_sig.add(line_of(kLine));
+  t.write_lines.insert(line_of(kLine));
+  EXPECT_TRUE(mentions(audit(), "parked: core 2"));
+}
+
 // ---- end-to-end Checker negatives ------------------------------------------
 
 TEST(CheckerEndToEndTest, HostWriteAfterSnapshotTripsTheSweep) {
@@ -196,6 +255,31 @@ TEST(CheckerEndToEndTest, HostWriteAfterSnapshotTripsTheSweep) {
   // A write no hook observed: the untouched-word sweep must refuse it.
   sim.mem().store_word(0x5000, 99);
   EXPECT_THROW(ck.finalize(), CheckFailure);
+}
+
+TEST(CheckerEndToEndTest, CleanOverrunAuditsAndReportsTheCap) {
+  // A run stopped by the cycle cap never finalizes; the checker audits the
+  // stopped machine instead, and a sound one reports only the cap.
+  for (sim::Scheme scheme : sim::all_schemes()) {
+    sim::SimConfig cfg;
+    cfg.scheme = scheme;
+    cfg.check.enabled = true;
+    cfg.max_cycles = 20000;
+    sim::Simulator sim(cfg);
+    stamp::SuiteParams params;
+    params.scale = 0.05;
+    auto workload = stamp::make_workload(stamp::AppId::kBayes);
+    workload->build(sim, params);
+    try {
+      sim.run();
+      ADD_FAILURE() << sim::scheme_name(scheme) << ": the cap must stop it";
+    } catch (const CheckFailure& e) {
+      ADD_FAILURE() << sim::scheme_name(scheme) << ": " << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("max_cycles"), std::string::npos);
+    }
+    EXPECT_GT(sim.checker()->audits_run(), 0u);
+  }
 }
 
 TEST(CheckerEndToEndTest, CleanRunFinalizesWithoutThrowing) {

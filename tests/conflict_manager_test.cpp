@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "htm/conflict_manager.hpp"
+#include "sim/scheduler.hpp"
 
 namespace suvtm::htm {
 namespace {
@@ -229,6 +230,312 @@ TEST_F(ConflictManagerTest, CommittingLazyHolderTreatedAsEager) {
   start(0, {}, {});
   // During publication the lazy committer's write set must NACK readers.
   EXPECT_EQ(check(0, 100, false).action, ConflictManager::Action::kStall);
+}
+
+// --- parked retries ------------------------------------------------------------
+
+/// Every core registers a park slot, as each ThreadContext does.
+class ParkTest : public ConflictManagerTest {
+ protected:
+  ParkTest() {
+    for (CoreId c = 0; c < kCores; ++c) cm_.enable_parking(c, &parks_[c]);
+  }
+
+  /// Add `l` to running core `c`'s write (or read) set, the way
+  /// ThreadContext grows a live transaction.
+  void note(CoreId c, LineAddr l, bool write) {
+    Txn& t = *txns_[c];
+    if (write) {
+      t.write_sig.add(l);
+      t.write_lines.insert(l);
+      cm_.note_write(c, l);
+    } else {
+      t.read_sig.add(l);
+      t.read_lines.insert(l);
+      cm_.note_read(c, l);
+    }
+  }
+
+  /// A line that shares no signature filter bit with `l`.
+  static LineAddr disjoint_from(LineAddr l) {
+    Signature a(2048, 2);
+    a.add(l);
+    for (LineAddr cand = l + 1;; ++cand) {
+      Signature b(2048, 2);
+      b.add(cand);
+      bool shared = false;
+      for (std::size_t w = 0; w < a.words().size(); ++w) {
+        shared = shared || (a.words()[w] & b.words()[w]) != 0;
+      }
+      if (!shared) return cand;
+    }
+  }
+
+  /// A line other than `l` that tests positive in a signature holding `l`.
+  static LineAddr alias_of(LineAddr l) {
+    Signature a(2048, 2);
+    a.add(l);
+    for (LineAddr cand = l + 1;; ++cand) {
+      if (a.test(cand)) return cand;
+    }
+  }
+
+  bool parked(CoreId c) const {
+    EXPECT_EQ(cm_.parked(c), parks_[c].parked);
+    return parks_[c].parked;
+  }
+
+  sim::Park parks_[kCores];
+};
+
+TEST_F(ParkTest, PlainStallParksWithItsInputs) {
+  start(1, {}, {100});
+  start(0, {}, {});
+  ASSERT_EQ(check(0, 100, false).action, ConflictManager::Action::kStall);
+  ASSERT_TRUE(parked(0));
+  const ConflictManager::ParkMemo& m = cm_.park_memo(0);
+  EXPECT_EQ(m.line, 100u);
+  EXPECT_EQ(m.holder, 1u);
+  EXPECT_FALSE(m.is_write);
+  EXPECT_TRUE(m.requester_tx);
+  EXPECT_TRUE(m.exact);
+  EXPECT_TRUE(cm_.park_holds(0, view_));
+  // A non-transactional requester parks too; it holds no wait-for edge.
+  ASSERT_EQ(check(2, 100, true).action, ConflictManager::Action::kStall);
+  EXPECT_TRUE(parked(2));
+  EXPECT_FALSE(cm_.park_memo(2).requester_tx);
+}
+
+TEST_F(ConflictManagerTest, UnregisteredCoresNeverPark) {
+  start(1, {}, {100});
+  start(0, {}, {});
+  EXPECT_EQ(check(0, 100, false).action, ConflictManager::Action::kStall);
+  EXPECT_EQ(cm_.parked_mask(), 0u);
+}
+
+TEST_F(ParkTest, OnlyPlainStallsPark) {
+  // A deadlock victim's requester does not park; the self-abort neither.
+  start(2, {200}, {});
+  start(3, {300}, {});
+  EXPECT_EQ(check(2, 300, true).action, ConflictManager::Action::kStall);
+  EXPECT_TRUE(parked(2));
+  cm_.unpark(2);
+  auto d = check(3, 200, true);  // closes 3 -> 2 -> 3; 3 is younger
+  EXPECT_EQ(d.action, ConflictManager::Action::kAbortSelf);
+  EXPECT_FALSE(parked(3));
+  // A suspended-summary stall does not park either.
+  Signature summary(2048, 2);
+  summary.add(500);
+  cm_.set_suspended_summary(nullptr, &summary);
+  EXPECT_EQ(check(0, 500, false).action, ConflictManager::Action::kStall);
+  EXPECT_FALSE(parked(0));
+}
+
+TEST_F(ParkTest, RequesterWinsDoomDoesNotPark) {
+  ConflictManager cm(kCores, sim::ConflictPolicy::kRequesterWins, 2048, 2);
+  sim::Park park;
+  cm.enable_parking(0, &park);
+  start(0, {}, {});  // older
+  start(1, {}, {100});
+  for (CoreId c : {0u, 1u}) {
+    cm.set_isolation(c, true);
+    cm.resync(c, *txns_[c]);
+  }
+  auto d = cm.check(0, 100, false, false, view_);
+  EXPECT_EQ(d.victim, 1u);
+  EXPECT_FALSE(park.parked);
+  // The younger requester falls back to a plain stall, which parks.
+  sim::Park young;
+  cm.enable_parking(2, &young);
+  start(2, {}, {});
+  cm.set_isolation(2, true);
+  EXPECT_EQ(cm.check(2, 100, false, false, view_).victim, kNoCore);
+  EXPECT_TRUE(young.parked);
+}
+
+TEST_F(ParkTest, SettleCountsTheSkippedChecks) {
+  start(1, {}, {100});
+  start(0, {}, {});
+  check(0, alias_of(100), false);  // false conflict
+  ASSERT_TRUE(parked(0));
+  const ConflictStats before = cm_.stats();
+  cm_.settle_parked(0, 5);
+  EXPECT_EQ(cm_.stats().conflicts, before.conflicts + 5);
+  EXPECT_EQ(cm_.stats().false_conflicts, before.false_conflicts + 5);
+}
+
+// One test per trigger.
+
+TEST_F(ParkTest, CoreBelowHolderNotingAnOverlappingLineUnparks) {
+  start(3, {}, {100});
+  start(1, {}, {});
+  start(2, {}, {});
+  check(2, 100, false);
+  ASSERT_TRUE(parked(2));
+  note(1, disjoint_from(100), true);  // shares no filter bit
+  EXPECT_TRUE(parked(2));
+  note(1, 100, true);
+  EXPECT_FALSE(parked(2));
+  EXPECT_EQ(check(2, 100, false).holder, 1u) << "core 1 is the holder now";
+}
+
+TEST_F(ParkTest, ReadNotesBelowHolderUnparkOnlyEagerWriters) {
+  start(3, {100}, {100});
+  start(1, {}, {});
+  start(2, {}, {});
+  start(0, {}, {});
+  check(2, 100, false);  // a read: only write signatures can NACK it
+  check(0, 100, true);   // a write: read signatures NACK it too
+  ASSERT_TRUE(parked(2));
+  ASSERT_TRUE(parked(0));
+  note(1, 100, false);
+  EXPECT_TRUE(parked(2));
+  EXPECT_FALSE(parked(0));
+}
+
+TEST_F(ParkTest, CoreAboveHolderNeverUnparks) {
+  start(1, {}, {100});
+  start(0, {}, {});
+  start(3, {}, {});
+  check(0, 100, false);
+  note(3, 100, true);
+  EXPECT_TRUE(parked(0));
+  EXPECT_TRUE(cm_.park_holds(0, view_));
+}
+
+TEST_F(ParkTest, HolderNotingTheParkedLineUnparksAFalseNack) {
+  start(1, {alias_of(100)}, {});
+  start(0, {}, {});
+  check(0, 100, true);  // the alias in 1's read signature NACKs the write
+  ASSERT_TRUE(parked(0));
+  ASSERT_FALSE(cm_.park_memo(0).exact);
+  note(1, alias_of(100) + 1000003, false);  // unrelated holder growth
+  note(1, 100, false);
+  EXPECT_FALSE(parked(0));
+  check(0, 100, true);
+  EXPECT_TRUE(cm_.park_memo(0).exact);
+  // An exact NACK cannot flip back: the holder's sets only grow.
+  note(1, 100, true);
+  EXPECT_TRUE(parked(0));
+}
+
+TEST_F(ParkTest, HolderReleaseUnparks) {
+  start(1, {}, {100});
+  start(3, {}, {});
+  start(0, {}, {});
+  check(0, 100, false);
+  txns_[3]->reset_committed();
+  cm_.set_isolation(3, false);  // not the holder
+  EXPECT_TRUE(parked(0));
+  txns_[1]->reset_committed();
+  cm_.set_isolation(1, false);
+  EXPECT_FALSE(parked(0));
+  EXPECT_EQ(check(0, 100, false).action, ConflictManager::Action::kProceed);
+}
+
+TEST_F(ParkTest, LazyTxnAtOrBelowHolderLeavingRunningUnparks) {
+  start(1, {100}, {}, /*lazy=*/true);  // a lazy reader: invalidated, not NACKing
+  start(2, {}, {100}, /*lazy=*/true);  // the lazy writer NACKs the write
+  start(3, {}, {}, /*lazy=*/true);
+  start(0, {}, {});
+  check(0, 100, true);
+  ASSERT_TRUE(parked(0));
+  ASSERT_EQ(cm_.park_memo(0).holder, 2u);
+  txns_[3]->state = TxnState::kCommitting;  // above the holder
+  cm_.left_running(*txns_[3]);
+  EXPECT_TRUE(parked(0));
+  txns_[1]->state = TxnState::kCommitting;  // below: now a publishing reader
+  cm_.left_running(*txns_[1]);
+  EXPECT_FALSE(parked(0));
+  EXPECT_EQ(check(0, 100, true).holder, 1u);
+  ASSERT_TRUE(parked(0));
+  txns_[1]->state = TxnState::kAborting;  // no longer lazy-running: no-op
+  txns_[1]->lazy = false;
+  cm_.left_running(*txns_[1]);
+  EXPECT_TRUE(parked(0));
+}
+
+TEST_F(ParkTest, LazyHolderLeavingRunningUnparks) {
+  start(1, {}, {100}, /*lazy=*/true);
+  start(0, {}, {});
+  check(0, 100, true);
+  ASSERT_TRUE(parked(0));
+  txns_[1]->state = TxnState::kCommitting;
+  cm_.left_running(*txns_[1]);
+  EXPECT_FALSE(parked(0));
+}
+
+TEST_F(ParkTest, ResyncAndSuspendedSummaryChangesUnpark) {
+  start(1, {}, {100});
+  start(0, {}, {});
+  check(0, 100, false);
+  ASSERT_TRUE(parked(0));
+  cm_.resync(3, *txns_[3]);
+  EXPECT_FALSE(parked(0));
+  check(0, 100, false);
+  ASSERT_TRUE(parked(0));
+  Signature summary(2048, 2);
+  cm_.set_suspended_summary(&summary, &summary);
+  EXPECT_FALSE(parked(0));
+}
+
+TEST_F(ParkTest, UnparkDropsTheWatch) {
+  start(2, {}, {100});
+  start(1, {}, {});
+  start(0, {}, {});
+  check(0, 100, false);
+  cm_.unpark(0);
+  EXPECT_FALSE(parked(0));
+  EXPECT_FALSE(cm_.park_memo(0).holder == kNoCore) << "the memo outlives it";
+  note(1, 100, true);  // no stale watch bit left behind to trip on
+  EXPECT_EQ(cm_.parked_mask(), 0u);
+}
+
+// Negative cases: changes that cannot alter a parked decision.
+
+TEST_F(ParkTest, BeginBelowHolderDoesNotUnpark) {
+  start(2, {}, {100});
+  start(0, {}, {});
+  check(0, 100, false);
+  start(1, {}, {});  // isolation acquired with empty signatures
+  EXPECT_TRUE(parked(0));
+  EXPECT_TRUE(cm_.park_holds(0, view_));
+}
+
+TEST_F(ParkTest, NonLazyCommitAndAbortStartDoNotUnpark) {
+  start(1, {}, {100});
+  start(2, {}, {});
+  start(0, {}, {});
+  check(0, 100, false);
+  txns_[1]->state = TxnState::kCommitting;
+  cm_.left_running(*txns_[1]);
+  txns_[2]->state = TxnState::kAborting;
+  cm_.left_running(*txns_[2]);
+  EXPECT_TRUE(parked(0));
+  EXPECT_TRUE(cm_.park_holds(0, view_));
+}
+
+TEST_F(ParkTest, DeadlockVictimElsewhereDoesNotUnpark) {
+  start(1, {}, {100});
+  start(2, {200}, {});
+  start(3, {300}, {});
+  start(0, {}, {});
+  check(0, 100, false);
+  ASSERT_TRUE(parked(0));
+  EXPECT_EQ(check(2, 300, true).action, ConflictManager::Action::kStall);
+  auto d = check(3, 200, true);  // closes 3 -> 2 -> 3
+  EXPECT_NE(d.victim, kNoCore);
+  EXPECT_TRUE(parked(0));
+  EXPECT_TRUE(cm_.park_holds(0, view_));
+}
+
+TEST_F(ParkTest, ParkHoldsDetectsAMissedTrigger) {
+  start(1, {}, {100});
+  start(0, {}, {});
+  check(0, 100, false);
+  ASSERT_TRUE(cm_.park_holds(0, view_));
+  txns_[1]->reset_committed();  // released behind the manager's back
+  EXPECT_FALSE(cm_.park_holds(0, view_));
 }
 
 }  // namespace

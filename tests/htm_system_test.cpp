@@ -43,6 +43,42 @@ TEST_F(HtmSystemTest, DoomIgnoresIdleAndCommitting) {
   EXPECT_FALSE(t.doomed);
 }
 
+TEST_F(HtmSystemTest, DoomUnparksTheVictim) {
+  sim::Park park;
+  htm_->conflicts().enable_parking(0, &park);
+  Txn& holder = run_txn(1);
+  holder.write_sig.add(100);
+  holder.write_lines.insert(100);
+  htm_->conflicts().note_write(1, 100);
+  run_txn(0);
+  htm_->conflicts().check(0, 100, false, false, htm_->txn_view());
+  ASSERT_TRUE(park.parked);
+  htm_->doom(1);  // another core's doom leaves the park alone
+  EXPECT_TRUE(park.parked);
+  htm_->doom(0);  // a doomed requester aborts at its next retry
+  EXPECT_FALSE(park.parked);
+}
+
+TEST_F(HtmSystemTest, SuspendAndResumeUnpark) {
+  sim::Park park;
+  htm_->conflicts().enable_parking(0, &park);
+  Txn& holder = run_txn(1);
+  holder.write_sig.add(100);
+  holder.write_lines.insert(100);
+  htm_->conflicts().note_write(1, 100);
+  run_txn(2);
+  const auto park_on_holder = [&] {
+    htm_->conflicts().check(0, 100, false, false, htm_->txn_view());
+    return park.parked;
+  };
+  ASSERT_TRUE(park_on_holder());
+  ASSERT_TRUE(htm_->suspend_txn(2));
+  EXPECT_FALSE(park.parked);
+  ASSERT_TRUE(park_on_holder());
+  ASSERT_TRUE(htm_->resume_txn(2));
+  EXPECT_FALSE(park.parked);
+}
+
 TEST_F(HtmSystemTest, CommitTokenIsExclusive) {
   EXPECT_TRUE(htm_->commit_token_free());
   EXPECT_TRUE(htm_->acquire_commit_token(2));

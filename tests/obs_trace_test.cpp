@@ -1,8 +1,8 @@
 // Tests for the observability layer (src/obs) and the shared bench/example
 // plumbing: metrics snapshot/merge semantics, the trace cap, byte-identical
 // trace export across host job counts, a golden abort-edge check on a
-// forced two-core conflict, scheme-string round-trips and the shared Cli
-// parser.
+// forced two-core conflict, stall counts and spans pinned across parked
+// retries, scheme-string round-trips and the shared Cli parser.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -188,6 +188,36 @@ TEST(TraceGoldenTest, ContendedCounterEmitsSpansAndAbortEdges) {
   const obs::MetricsSnapshot m = sim.harvest_metrics();
   EXPECT_DOUBLE_EQ(m.get("obs.conflict_edges", -1.0),
                    static_cast<double>(edges));
+}
+
+// Parked NACK retries skip the conflict re-check and settle their obs stall
+// count in bulk; the trace must not tell. The constants were taken from
+// this run before retries could park.
+TEST(TraceGoldenTest, ParkedRetriesKeepStallCountsAndSpans) {
+  sim::SimConfig cfg;
+  cfg.scheme = sim::Scheme::kLogTmSe;
+  cfg.mem.num_cores = 8;
+  cfg.obs.trace = true;
+  cfg.obs.metrics = true;
+  sim::Simulator sim(cfg);
+  sim::Barrier& bar = sim.make_barrier(sim.num_cores());
+  for (CoreId c = 0; c < sim.num_cores(); ++c) {
+    sim.spawn(c, counter_hammer(sim.context(c), bar, 0x9000, 40));
+  }
+  sim.run();
+  EXPECT_GT(sim.scheduler().parked_wakes(), 0u) << "no retry parked";
+
+  std::uint64_t spans = 0, stalled = 0;
+  for (const obs::TraceEvent& e : sim.take_trace().events) {
+    if (e.kind != obs::EventKind::kStallSpan) continue;
+    ++spans;
+    stalled += e.dur;
+  }
+  EXPECT_EQ(spans, 1199u);
+  EXPECT_EQ(stalled, 628900u);
+  EXPECT_DOUBLE_EQ(sim.harvest_metrics().get("obs.stall_retries", -1.0),
+                   31445.0);
+  EXPECT_EQ(sim.events_processed(), 40045u);
 }
 
 // ---- chrome-trace export ----------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -141,6 +142,120 @@ TEST(SchedulerTest, WakeExceptionsPropagateOutOfRun) {
   EXPECT_THROW(s.run(100), std::runtime_error);
   EXPECT_EQ(order, (std::vector<int>{7}));
   EXPECT_EQ(s.now(), 2u);
+}
+
+/// A NACK-retry stand-in: each real wake logs and re-arms `interval`
+/// cycles later until `left` real wakes are done. In `silent` mode a wake
+/// only re-arms -- what a parked wake's re-link must be equivalent to.
+struct RetryWake final : Wakeable {
+  Scheduler& s;
+  std::vector<std::pair<char, Cycle>>* log;
+  int left;
+  bool silent = false;
+  int silent_wakes = 0;
+  RetryWake(Scheduler& sc, std::vector<std::pair<char, Cycle>>* l, Cycle iv,
+            int n)
+      : s(sc), log(l), left(n) {
+    park.interval = iv;
+  }
+  void on_wake() override {
+    if (silent) {
+      ++silent_wakes;
+    } else {
+      log->push_back({'R', s.now()});
+      if (--left == 0) return;
+    }
+    s.wake_after(park.interval, *this);
+  }
+};
+
+struct RetryRun {
+  std::vector<std::pair<char, Cycle>> log;
+  std::uint64_t events = 0;
+  std::uint64_t quiet = 0;  // skipped (parked) or silent wakes
+};
+
+/// R retries every 20 cycles from cycle 10, between two tickers that hit
+/// the same cycles: A (scheduled before R, so it runs first in each cycle)
+/// and B (after R). The tickers park R (or silence it, for the reference)
+/// and unpark it at fixed ticks, from either side of R within the cycle,
+/// and the run spans several wheel windows, so R's re-links spill into the
+/// overflow heap at every window edge.
+RetryRun run_retry_scenario(bool use_park) {
+  RetryRun out;
+  Scheduler s;
+  RetryWake r(s, &out.log, 20, 100);
+  const auto set_quiet = [&](bool q) {
+    if (use_park) r.park.parked = q;
+    else r.silent = q;
+  };
+  std::function<void(char, int)> tick = [&](char id, int k) {
+    out.log.push_back({id, s.now()});
+    // A acts before R's wake in the same cycle, B after it.
+    if (id == 'A' && k == 3) set_quiet(true);     // parks this very cycle
+    if (id == 'A' && k == 150) set_quiet(false);  // R runs for real now
+    if (id == 'B' && k == 200) set_quiet(true);   // from the next cycle on
+    if (id == 'B' && k == 260) set_quiet(false);  // next occurrence runs
+    if (k < 400) s.after(20, [&tick, id, k] { tick(id, k + 1); });
+  };
+  s.at(10, [&] { tick('A', 0); });
+  s.wake_at(10, r);
+  s.at(10, [&] { tick('B', 0); });
+  EXPECT_TRUE(s.run(~Cycle{0}));
+  out.events = s.events_processed();
+  out.quiet = use_park ? r.park.skipped : r.silent_wakes;
+  if (use_park) {
+    EXPECT_EQ(s.parked_wakes(), r.park.skipped);
+  }
+  return out;
+}
+
+TEST(SchedulerParkTest, ParkedWakeKeepsItsOrderAcrossWindowEdges) {
+  const RetryRun ref = run_retry_scenario(false);
+  const RetryRun parked = run_retry_scenario(true);
+  // 147 + 60 quiet wakes: ticks 3..149 and 201..260 (R's tick-260 wake
+  // comes before B's unpark in that cycle).
+  EXPECT_EQ(ref.quiet, 207u);
+  EXPECT_EQ(parked.quiet, ref.quiet);
+  EXPECT_EQ(parked.events, ref.events);
+  EXPECT_EQ(parked.log, ref.log);
+  // Spot-check the unparks: A's at tick 150 lets R run in that same cycle,
+  // between A and B; B's at tick 260 lets R run at its next occurrence.
+  const Cycle t150 = 10 + 20 * 150;
+  const Cycle t261 = 10 + 20 * 261;
+  const auto at = [&](Cycle t) {
+    std::string ids;
+    for (const auto& [id, c] : parked.log) {
+      if (c == t) ids += id;
+    }
+    return ids;
+  };
+  EXPECT_EQ(at(t150 - 20), "AB");
+  EXPECT_EQ(at(t150), "ARB");
+  EXPECT_EQ(at(t261 - 20), "AB");
+  EXPECT_EQ(at(t261), "ARB");
+  EXPECT_GT(t261, 2 * Scheduler::kWheelSize) << "must span window edges";
+}
+
+TEST(SchedulerParkTest, ParkedWakeSpillsThroughTheOverflowHeap) {
+  // A re-link distance beyond the wheel takes the overflow heap, and the
+  // re-bucketed wake still runs after the event that shares its cycle and
+  // was scheduled before the re-link.
+  Scheduler s;
+  std::vector<std::pair<char, Cycle>> log;
+  const Cycle far = Scheduler::kWheelSize + 5;
+  RetryWake r(s, &log, far, 2);
+  s.wake_at(1, r);
+  r.park.parked = true;
+  s.at(1 + far, [&] {  // scheduled before the re-link: runs first
+    log.push_back({'X', s.now()});
+    r.park.parked = false;
+  });
+  EXPECT_TRUE(s.run(~Cycle{0}));
+  EXPECT_EQ(r.park.skipped, 1u);
+  EXPECT_EQ(log, (std::vector<std::pair<char, Cycle>>{
+                     {'X', 1 + far}, {'R', 1 + far}, {'R', 1 + 2 * far}}));
+  EXPECT_EQ(s.events_processed(), 4u);
 }
 
 TEST(SmallFnTest, InvokesInlineCallable) {
