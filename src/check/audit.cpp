@@ -229,17 +229,20 @@ std::vector<std::string> audit_suv(const vm::SuvVm& suv,
   const auto& table = suv.table();
   const std::uint32_t cores = htm.num_cores();
 
-  // Per-core originals owned by the running transaction or a parked one.
+  // Per-core originals whose transient entries a descriptor lists: the
+  // core's running transaction or a transaction suspended from it.
   std::vector<FlatSet<LineAddr>> owned(cores);
-  for (CoreId c = 0; c < cores; ++c) {
-    suv.for_each_owned(c, [&](LineAddr l) {
+  const auto collect = [&](CoreId c, const htm::Txn& t) {
+    for (LineAddr l : t.redirected) {
       if (!owned[c].insert(l)) {
         out.push_back(format(
             "suv: core %u's ownership lists name original %#llx twice", c,
             static_cast<unsigned long long>(l)));
       }
-    });
-  }
+    }
+  };
+  for (CoreId c = 0; c < cores; ++c) collect(c, htm.txn(c));
+  htm.for_each_suspended(collect);
 
   // Holder masks as the first-level tables describe them, built in one
   // pass over each core's table rather than 2 x cores probes per entry.

@@ -394,7 +394,8 @@ class FlatSet {
 /// touches one or two cache lines), switching to a FlatSet index once it
 /// outgrows the scan threshold. Iteration is always insertion-ordered,
 /// which makes every result that depends on walking a footprint
-/// reproducible by construction.
+/// reproducible by construction. A set only grows between clear()s, as a
+/// transaction attempt's footprint does.
 class LineSet {
  public:
   using const_iterator = std::vector<LineAddr>::const_iterator;
@@ -428,19 +429,6 @@ class LineSet {
       indexed_ = true;
     }
     return true;
-  }
-
-  /// Order-preserving removal; rare (only partial-abort paths), so the
-  /// linear cost is acceptable.
-  std::size_t erase(LineAddr l) {
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      if (items_[i] == l) {
-        items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(i));
-        if (indexed_) index_.erase(l);
-        return 1;
-      }
-    }
-    return 0;
   }
 
   /// Keeps both the vector's and the index's allocations.

@@ -19,7 +19,6 @@ ConflictManager::ConflictManager(std::uint32_t num_cores,
       read_cols_(sig_bits, 0),
       write_cols_(sig_bits, 0),
       touched_(num_cores),
-      needs_full_clear_(num_cores, 0),
       parks_(num_cores, nullptr),
       memo_(num_cores) {
   assert(num_cores <= 64 && "isolation/column masks are 64-bit words");
@@ -31,44 +30,28 @@ void ConflictManager::clear_columns(CoreId core) {
   const std::uint64_t keep = ~(1ull << core);
   // Past ~bits/k journal entries the positions cover most of the filter
   // anyway; the sweep is cheaper and exact.
-  if (needs_full_clear_[core] || journal.size() * col_k_ > col_bits_) {
+  if (journal.size() * col_k_ > col_bits_) {
     for (std::uint64_t& w : read_cols_) w &= keep;
     for (std::uint64_t& w : write_cols_) w &= keep;
-    needs_full_clear_[core] = 0;
   } else {
     for (const std::uint64_t m : journal) {
-      std::uint32_t b = static_cast<std::uint32_t>(m);
-      const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
-      for (std::uint32_t i = 0; i < col_k_; ++i, b += step) {
-        const std::uint32_t idx = b & (col_bits_ - 1);
+      for_each_position(m, col_k_, col_bits_, [&](std::uint32_t idx) {
         read_cols_[idx] &= keep;
         write_cols_[idx] &= keep;
-      }
+        return true;
+      });
     }
   }
   journal.clear();
 }
 
 void ConflictManager::resync(CoreId core, const Txn& t) {
-  // The core's signatures reappear wholesale, not line by line through the
-  // watched note_read/note_write.
+  // The core's sets reappear wholesale, not line by line through the
+  // watched notes: every parked decision re-checks. With nothing parked,
+  // the notes below skip their watch.
   if (parked_mask_ != 0) unpark_if(0, kAny);
-  clear_columns(core);
-  const std::uint64_t bit = 1ull << core;
-  const auto install = [&](std::vector<std::uint64_t>& cols,
-                           const Signature& sig) {
-    const auto& words = sig.words();
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
-        cols[(w << 6) | static_cast<std::size_t>(std::countr_zero(word))] |=
-            bit;
-      }
-    }
-  };
-  install(read_cols_, t.read_sig);
-  install(write_cols_, t.write_sig);
-  // The journal never saw these bits: the next release must sweep.
-  needs_full_clear_[core] = 1;
+  for (LineAddr l : t.read_lines) note_read(core, l);
+  for (LineAddr l : t.write_lines) note_write(core, l);
 }
 
 bool ConflictManager::reaches(CoreId start, CoreId target) const {
@@ -245,12 +228,11 @@ void ConflictManager::unpark(CoreId core) {
   if ((parked_mask_ & bit) == 0) return;
   parked_mask_ &= ~bit;
   parks_[core]->parked = false;
-  std::uint32_t b = static_cast<std::uint32_t>(memo_[core].mix);
-  const std::uint32_t step =
-      static_cast<std::uint32_t>(memo_[core].mix >> 32) | 1u;
-  for (std::uint32_t i = 0; i < col_k_; ++i, b += step) {
-    watch_cols_[b & (col_bits_ - 1)] &= ~bit;
-  }
+  for_each_position(memo_[core].mix, col_k_, col_bits_,
+                    [&](std::uint32_t idx) {
+                      watch_cols_[idx] &= ~bit;
+                      return true;
+                    });
 }
 
 void ConflictManager::unpark_if(CoreId core, Relation rel) {
@@ -264,11 +246,10 @@ void ConflictManager::unpark_if(CoreId core, Relation rel) {
 void ConflictManager::watch(CoreId core, LineAddr l, std::uint64_t m,
                             bool write) {
   std::uint64_t hit = 0;
-  std::uint32_t b = static_cast<std::uint32_t>(m);
-  const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
-  for (std::uint32_t i = 0; i < col_k_; ++i, b += step) {
-    hit |= watch_cols_[b & (col_bits_ - 1)];
-  }
+  for_each_position(m, col_k_, col_bits_, [&](std::uint32_t idx) {
+    hit |= watch_cols_[idx];
+    return true;
+  });
   for (hit &= parked_mask_; hit != 0; hit &= hit - 1) {
     const CoreId c = static_cast<CoreId>(std::countr_zero(hit));
     const ParkMemo& pm = memo_[c];

@@ -57,8 +57,9 @@ inline void accumulate(ConflictStats& a, const ConflictStats& b) {
 class ConflictManager {
  public:
   /// `sig_bits`/`sig_hashes` must match the per-transaction signature
-  /// geometry: the bit-sliced columns below index with the exact same
-  /// double-hash derivation, so a column miss proves a signature miss.
+  /// geometry: the bit-sliced columns below walk the same
+  /// for_each_position indices as the signatures, so a column miss proves
+  /// a signature miss.
   ConflictManager(std::uint32_t num_cores,
                   sim::ConflictPolicy policy =
                       sim::ConflictPolicy::kRequesterStalls,
@@ -146,8 +147,10 @@ class ConflictManager {
   /// LIVE transaction's signature must be reported here (first add per line
   /// suffices -- repeats set the same bits) so the bit-sliced columns stay
   /// a superset of the per-core signatures (the correctness contract
-  /// check() relies on: column miss => signature miss). The touched mixes
-  /// are journaled so release clears cost O(footprint), not O(sig bits).
+  /// check() relies on: column miss => signature miss). Besides resync,
+  /// HtmSystem's note_read/note_write are the simulator's one caller. The
+  /// touched mixes are journaled so release clears cost O(footprint), not
+  /// O(sig bits).
   void note_read(CoreId core, LineAddr l) {
     const std::uint64_t m = Signature::mix(l);
     set_column_bits(read_cols_, core, m);
@@ -161,9 +164,12 @@ class ConflictManager {
     if (parked_mask_ != 0) watch(core, l, m, /*write=*/true);
   }
 
-  /// Rebuild `core`'s column bits from a transaction whose signatures were
-  /// restored wholesale (deschedule/resume round trip) rather than grown
-  /// add-by-add through note_read/note_write.
+  /// `t` reappeared on `core` wholesale (a suspended transaction resumed)
+  /// rather than line by line: unpark every core, then note t's exact
+  /// sets. A signature holds exactly its exact set's filter positions
+  /// (HtmSystem::note_read/note_write grow both together, and neither ever
+  /// shrinks within an attempt), so the re-note rebuilds the core's
+  /// columns bit for bit and journals every position it sets.
   void resync(CoreId core, const Txn& t);
 
   /// The requester's access succeeded or its transaction ended: drop its
@@ -303,28 +309,26 @@ class ConflictManager {
   // filter bit `idx` set (or had it set since the core's last isolation
   // release -- stale supersets are harmless, the scan re-tests the real
   // signatures). Probing all cores therefore costs k column loads TOTAL
-  // instead of k loads per active core: with the same (b, step) walk as
-  // Signature::test_mixed, AND-ing the k columns yields the mask of cores
-  // whose signature passes every probe.
+  // instead of k loads per active core: walking the line's filter
+  // positions and AND-ing the k columns yields the mask of cores whose
+  // signature passes every probe.
   std::uint64_t probe_columns(const std::vector<std::uint64_t>& cols,
                               std::uint64_t m) const {
-    std::uint32_t b = static_cast<std::uint32_t>(m);
-    const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
     std::uint64_t hit = ~0ull;
-    for (std::uint32_t i = 0; i < col_k_; ++i, b += step) {
-      hit &= cols[b & (col_bits_ - 1)];
-      if (hit == 0) break;  // sparse columns: most probes die on load 1-2
-    }
+    // Sparse columns: most probes die on load 1-2.
+    for_each_position(m, col_k_, col_bits_, [&](std::uint32_t idx) {
+      hit &= cols[idx];
+      return hit != 0;
+    });
     return hit;
   }
 
   void set_column_bits(std::vector<std::uint64_t>& cols, CoreId core,
                        std::uint64_t m) {
-    std::uint32_t b = static_cast<std::uint32_t>(m);
-    const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
-    for (std::uint32_t i = 0; i < col_k_; ++i, b += step) {
-      cols[b & (col_bits_ - 1)] |= 1ull << core;
-    }
+    for_each_position(m, col_k_, col_bits_, [&](std::uint32_t idx) {
+      cols[idx] |= 1ull << core;
+      return true;
+    });
   }
 
   void clear_columns(CoreId core);
@@ -340,10 +344,9 @@ class ConflictManager {
   std::vector<std::uint64_t> write_cols_;  // col_bits_ words, bit per core
   /// Per-core journal of noted line mixes; clear_columns scrubs exactly
   /// these positions (in both column arrays -- conservative but cheap)
-  /// instead of sweeping every word. A resync installs bits the journal
-  /// never saw, so it flags the core for one full-sweep clear instead.
+  /// instead of sweeping every word. Every column bit is set by a note,
+  /// so the journal covers them all.
   std::vector<std::vector<std::uint64_t>> touched_;
-  std::vector<std::uint8_t> needs_full_clear_;
   const Signature* suspended_reads_ = nullptr;
   const Signature* suspended_writes_ = nullptr;
   ConflictStats stats_;

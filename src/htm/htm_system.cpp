@@ -16,11 +16,9 @@ HtmSystem::HtmSystem(const sim::SimConfig& cfg, mem::MemorySystem& mem,
       suspended_writes_(cfg.htm.signature_bits, cfg.htm.signature_hashes) {
   txns_.reserve(cfg.mem.num_cores);
   for (CoreId c = 0; c < cfg.mem.num_cores; ++c) {
-    // lint: allow(alloc-in-loop) -- one-time construction, not a sim path
-    txns_.push_back(std::make_unique<Txn>(c, params_.signature_bits,
-                                          params_.signature_hashes));
-    txn_view_.push_back(txns_.back().get());
+    txns_.emplace_back(c, params_.signature_bits, params_.signature_hashes);
   }
+  for (Txn& t : txns_) txn_view_.push_back(&t);
   vm_->attach(*this);
 }
 
@@ -42,7 +40,7 @@ void HtmSystem::rebuild_suspended_summary() {
 }
 
 bool HtmSystem::suspend_txn(CoreId core) {
-  Txn& t = *txns_[core];
+  Txn& t = txns_[core];
   if (t.state != TxnState::kRunning) return false;
   suspended_.push_back({core, t});
   // The checker sees the suspend while the descriptor still holds the
@@ -51,21 +49,19 @@ bool HtmSystem::suspend_txn(CoreId core) {
   t.reset_committed();  // fresh descriptor for the next scheduled thread
   conflicts_.set_isolation(core, false);
   rebuild_suspended_summary();
-  vm_->on_suspend(core);
   SUVTM_OBS_HOOK(obs_, on_suspend(core));
   return true;
 }
 
 bool HtmSystem::resume_txn(CoreId core) {
-  if (txns_[core]->active()) return false;
+  if (txns_[core].active()) return false;
   for (auto it = suspended_.begin(); it != suspended_.end(); ++it) {
     if (it->core == core) {
-      *txns_[core] = it->txn;  // saved state was kRunning: isolation resumes
+      txns_[core] = it->txn;  // saved state was kRunning: isolation resumes
       conflicts_.set_isolation(core, true);
-      conflicts_.resync(core, *txns_[core]);
+      conflicts_.resync(core, txns_[core]);
       suspended_.erase(it);
       rebuild_suspended_summary();
-      vm_->on_resume(core);
       SUVTM_CHECK_HOOK(checker_, on_resume(core));
       SUVTM_OBS_HOOK(obs_, on_resume(core));
       return true;
@@ -94,7 +90,7 @@ std::size_t HtmSystem::doom_suspended_conflicting(const Txn& committer) {
 }
 
 void HtmSystem::doom(CoreId victim, AbortCause cause) {
-  Txn& t = *txns_[victim];
+  Txn& t = txns_[victim];
   if (!t.active() || t.state == TxnState::kCommitting) return;
   if (!t.doomed) t.doom_cause = cause;
   t.doomed = true;

@@ -49,8 +49,8 @@ class HtmSystem {
   HtmSystem(const sim::SimConfig& cfg, mem::MemorySystem& mem,
             std::unique_ptr<VersionManager> vm);
 
-  Txn& txn(CoreId c) { return *txns_[c]; }
-  const Txn& txn(CoreId c) const { return *txns_[c]; }
+  Txn& txn(CoreId c) { return txns_[c]; }
+  const Txn& txn(CoreId c) const { return txns_[c]; }
   std::vector<Txn*>& txn_view() { return txn_view_; }
   const std::vector<Txn*>& txn_view() const { return txn_view_; }
 
@@ -81,19 +81,41 @@ class HtmSystem {
   HtmStats& stats() { return stats_; }
   const HtmStats& stats() const { return stats_; }
 
+  /// Grow running transaction `t`'s read (write) footprint by line `l`:
+  /// on the line's first touch, the exact set, the signature and the
+  /// conflict manager's columns. The one path by which a footprint grows,
+  /// so a signature always holds exactly its exact set's filter positions
+  /// (ConflictManager::resync relies on that).
+  void note_read(Txn& t, LineAddr l) {
+    if (t.read_lines.insert(l)) {
+      t.read_sig.add(l);
+      conflicts_.note_read(t.core, l);
+    }
+  }
+  void note_write(Txn& t, LineAddr l) {
+    if (t.write_lines.insert(l)) {
+      t.write_sig.add(l);
+      conflicts_.note_write(t.core, l);
+    }
+  }
+
   /// Mark a victim transaction for abort (lazy committer wins, or deadlock
   /// cycle). No-op for idle or committing transactions. The first doom's
   /// cause sticks; it feeds the abort-cause attribution in obs.
   void doom(CoreId victim, AbortCause cause = AbortCause::kExplicit);
 
   // --- Thread suspension (paper Section IV-C) ------------------------------
-  /// Park the core's running transaction: its read/write sets move into the
-  /// suspended-summary signatures that every conflict check consults, so
-  /// isolation survives the deschedule. Returns false if no transaction is
-  /// running. The core gets a clean descriptor for the next thread.
+  /// Park the core's running transaction: the whole descriptor is copied
+  /// aside (every piece of per-attempt state lives on it, SUV's entry list
+  /// included) and its read/write sets move into the suspended-summary
+  /// signatures that every conflict check consults, so isolation survives
+  /// the deschedule. Returns false if no transaction is running. The core
+  /// gets a clean descriptor for the next thread.
   bool suspend_txn(CoreId core);
-  /// Un-park the core's suspended transaction (the core's current
-  /// descriptor must be idle). Returns false if nothing was suspended.
+  /// Un-park the core's first suspended transaction by copying its
+  /// descriptor back (the core's current descriptor must be idle); the
+  /// conflict manager re-notes its exact sets. Returns false if nothing
+  /// was suspended.
   bool resume_txn(CoreId core);
   std::size_t suspended_count() const { return suspended_.size(); }
 
@@ -125,7 +147,9 @@ class HtmSystem {
   ConflictManager conflicts_;
   void rebuild_suspended_summary();
 
-  std::vector<std::unique_ptr<Txn>> txns_;
+  /// One descriptor per core in one array, never resized after
+  /// construction: txn_view_ points into it.
+  std::vector<Txn> txns_;
   std::vector<Txn*> txn_view_;
   HtmStats stats_;
   CoreId token_holder_ = kNoCore;

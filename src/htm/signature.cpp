@@ -14,13 +14,12 @@ Signature::Signature(std::uint32_t bits, std::uint32_t hashes)
 }
 
 std::uint32_t Signature::hash(LineAddr l, std::uint32_t i, std::uint32_t bits) {
-  // Double hashing (Kirsch-Mitzenheimer): index_i = h1 + i*h2 mod bits. The
-  // step is forced odd, so with power-of-two `bits` the k indices are
-  // pairwise distinct -- the filter genuinely sets k bits per add.
-  const std::uint64_t m = mix(l);
-  const std::uint32_t h1 = static_cast<std::uint32_t>(m);
-  const std::uint32_t h2 = static_cast<std::uint32_t>(m >> 32) | 1u;
-  return (h1 + i * h2) & (bits - 1);
+  std::uint32_t idx = 0;
+  for_each_position(mix(l), i + 1, bits, [&](std::uint32_t p) {
+    idx = p;
+    return true;
+  });
+  return idx;
 }
 
 void Signature::clear() {

@@ -13,6 +13,27 @@
 
 namespace suvtm::htm {
 
+/// Visit the `k` filter positions of the line whose Signature::mix is `m`
+/// in a `bits`-wide filter (`bits` a power of two), calling fn(index) for
+/// each. Double hashing (Kirsch-Mitzenmacher): index_i = h1 + i*h2 mod
+/// bits, with both halves taken from the one mix and the step forced odd,
+/// so the k indices are pairwise distinct and a filter genuinely sets k
+/// bits per line. Every structure indexed by a line's filter positions
+/// walks them here: the read/write signatures, the redirect summary
+/// signature and the conflict manager's bit-sliced columns. Stops at the
+/// first position where fn returns false, and returns false then; true
+/// when all k positions were visited.
+template <class Fn>
+inline bool for_each_position(std::uint64_t m, std::uint32_t k,
+                              std::uint32_t bits, Fn&& fn) {
+  std::uint32_t b = static_cast<std::uint32_t>(m);
+  const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
+  for (std::uint32_t i = 0; i < k; ++i, b += step) {
+    if (!fn(b & (bits - 1))) return false;
+  }
+  return true;
+}
+
 class Signature {
  public:
   Signature(std::uint32_t bits, std::uint32_t hashes);
@@ -21,13 +42,10 @@ class Signature {
   // of times per experiment sweep and an out-of-line call costs more than
   // the probe itself.
   void add(LineAddr l) {
-    const std::uint64_t m = mix(l);
-    std::uint32_t b = static_cast<std::uint32_t>(m);
-    const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
-    for (std::uint32_t i = 0; i < k_; ++i, b += step) {
-      const std::uint32_t idx = b & (bits_ - 1);
+    for_each_position(mix(l), k_, bits_, [&](std::uint32_t idx) {
       words_[idx >> 6] |= 1ull << (idx & 63);
-    }
+      return true;
+    });
     ++adds_;
   }
   bool test(LineAddr l) const { return test_mixed(mix(l)); }
@@ -36,28 +54,20 @@ class Signature {
   /// multiply-avalanche per access instead of per signature.
   bool test_mixed(std::uint64_t m) const {
     if (adds_ == 0) return false;
-    std::uint32_t b = static_cast<std::uint32_t>(m);
-    const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
-    for (std::uint32_t i = 0; i < k_; ++i, b += step) {
-      const std::uint32_t idx = b & (bits_ - 1);
-      if (!((words_[idx >> 6] >> (idx & 63)) & 1ull)) return false;
-    }
-    return true;
+    return for_each_position(m, k_, bits_, [&](std::uint32_t idx) {
+      return ((words_[idx >> 6] >> (idx & 63)) & 1ull) != 0;
+    });
   }
   void clear();
 
   bool empty() const { return adds_ == 0; }
   std::uint64_t adds() const { return adds_; }
-  /// Raw filter words (bits()/64 of them); used to rebuild the conflict
-  /// manager's bit-sliced columns after a wholesale signature restore.
-  const std::vector<std::uint64_t>& words() const { return words_; }
   std::uint32_t bits() const { return bits_; }
   /// Number of set bits (occupancy; used in tests and saturation stats).
   std::uint32_t popcount() const;
 
-  /// Hash `i` of line `l` into [0, bits). Derived from one mix via double
-  /// hashing, so add/test pay a single 64-bit multiply-mix regardless of k;
-  /// the per-i form exists for tests and the summary signature's bit math.
+  /// Filter position `i` of line `l` in a `bits`-wide filter: the i-th
+  /// index for_each_position visits. Tests predict filter bits with it.
   static std::uint32_t hash(LineAddr l, std::uint32_t i, std::uint32_t bits);
 
   /// The shared 64-bit mix all indices derive from.

@@ -49,7 +49,8 @@ struct Txn {
   Signature write_sig;
 
   /// Exact sets, kept alongside the signatures for statistics (false-conflict
-  /// measurement) and for per-line version-management bookkeeping.
+  /// measurement), per-line version-management bookkeeping and the resume
+  /// re-note; HtmSystem::note_read/note_write grow each with its signature.
   /// Small-buffer-optimized and insertion-ordered (Table IV: typical
   /// footprints are tens of lines); touched on every transactional access.
   LineSet read_lines;
@@ -62,6 +63,11 @@ struct Txn {
 
   /// Lazy-mode (DynTM) redo buffer: word address -> buffered new value.
   FlatMap<Addr, std::uint64_t> redo;
+
+  /// SUV: originals whose transient redirect entries this attempt owns, in
+  /// creation order -- the entries its commit or abort flash-flips. Kept on
+  /// the descriptor so suspension carries it with the rest of the attempt.
+  std::vector<LineAddr> redirected;
 
   bool doomed = false;        // marked for abort by the conflict manager
   AbortCause doom_cause = AbortCause::kNone;  // why; first doom wins
@@ -86,6 +92,7 @@ struct Txn {
     undo.clear();
     logged_words.clear();
     redo.clear();
+    redirected.clear();
     doomed = false;
     doom_cause = AbortCause::kNone;
     overflowed = false;

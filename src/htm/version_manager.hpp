@@ -133,15 +133,6 @@ class VersionManager {
   /// Abort processing finished: restore functional state.
   virtual void on_abort_done(Txn& txn) = 0;
 
-  // --- Thread suspension ---------------------------------------------------
-  /// `core`'s running transaction was just parked (its descriptor copied
-  /// aside by HtmSystem::suspend_txn). Schemes that key per-transaction
-  /// version state by core (SUV's transient-entry ownership list) must park
-  /// that state too, or the core's next transaction inherits it.
-  virtual void on_suspend(CoreId) {}
-  /// `core`'s suspended transaction was restored to the core's descriptor.
-  virtual void on_resume(CoreId) {}
-
   /// Untimed, stat-free address resolution for host-side inspection and
   /// post-run verification: after a run, a line with a live global redirect
   /// entry keeps its canonical data at the redirected location.

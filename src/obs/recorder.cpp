@@ -16,8 +16,9 @@ Counter counter_for_cause(htm::AbortCause cause) {
 
 }  // namespace
 
-Recorder::Recorder(const sim::ObsParams& params, std::uint32_t num_cores)
-    : trace_on_(params.trace), trace_mem_(params.trace_mem),
+Recorder::Recorder(const sim::ObsParams& params, std::uint32_t num_cores,
+                   const sim::Scheduler& clock)
+    : trace_on_(params.trace), trace_mem_(params.trace_mem), clock_(clock),
       tracer_(params.max_trace_events), cores_(num_cores) {}
 
 void Recorder::close_stall(CoreId c, Cycle t) {
@@ -130,7 +131,7 @@ void Recorder::on_backoff(CoreId c, Cycle t, Cycle wait) {
 void Recorder::on_suspend(CoreId c) {
   metrics_.add(Counter::kSuspends);
   TraceEvent e;
-  e.ts = now_;
+  e.ts = now();
   e.kind = EventKind::kSuspend;
   e.core = c;
   emit(e);
@@ -139,7 +140,7 @@ void Recorder::on_suspend(CoreId c) {
 void Recorder::on_resume(CoreId c) {
   metrics_.add(Counter::kResumes);
   TraceEvent e;
-  e.ts = now_;
+  e.ts = now();
   e.kind = EventKind::kResume;
   e.core = c;
   emit(e);
@@ -150,7 +151,7 @@ void Recorder::on_conflict_edge(CoreId aborter, CoreId victim, LineAddr line,
                                 htm::AbortCause cause) {
   metrics_.add(Counter::kConflictEdges);
   TraceEvent e;
-  e.ts = now_;
+  e.ts = now();
   e.addr = line;
   e.a = victim;
   e.b = victim_site;
@@ -163,7 +164,7 @@ void Recorder::on_conflict_edge(CoreId aborter, CoreId victim, LineAddr line,
 void Recorder::on_degeneration(CoreId c) {
   metrics_.add(Counter::kDegenerations);
   TraceEvent e;
-  e.ts = now_;
+  e.ts = now();
   e.kind = EventKind::kDegeneration;
   e.core = c;
   emit(e);
@@ -182,7 +183,7 @@ void Recorder::on_suv_flash(CoreId /*c*/, bool commit,
 void Recorder::on_table_spill(LineAddr line, CoreId owner) {
   metrics_.add(Counter::kTableSpills);
   TraceEvent e;
-  e.ts = now_;
+  e.ts = now();
   e.addr = line;
   e.kind = EventKind::kTableSpill;
   e.core = owner;
@@ -196,7 +197,7 @@ void Recorder::on_table_l1_overflow() {
 void Recorder::on_pool_page(CoreId owner) {
   metrics_.add(Counter::kPoolPages);
   TraceEvent e;
-  e.ts = now_;
+  e.ts = now();
   e.kind = EventKind::kPoolPage;
   e.core = owner;
   emit(e);
@@ -229,7 +230,7 @@ void Recorder::on_dir_forward(CoreId requester, CoreId owner, LineAddr line) {
   metrics_.add(Counter::kDirForwards);
   if (!trace_mem_) return;
   TraceEvent e;
-  e.ts = now_;
+  e.ts = now();
   e.addr = line;
   e.a = owner;
   e.kind = EventKind::kDirForward;
@@ -246,7 +247,7 @@ void Recorder::on_dir_drop() { metrics_.add(Counter::kDirEntriesDropped); }
 void Recorder::on_spec_eviction(CoreId c, LineAddr line) {
   metrics_.add(Counter::kSpecEvictions);
   TraceEvent e;
-  e.ts = now_;
+  e.ts = now();
   e.addr = line;
   e.kind = EventKind::kSpecEviction;
   e.core = c;

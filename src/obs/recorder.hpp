@@ -1,6 +1,6 @@
 // Recorder: the per-Simulator observability hub every SUVTM_OBS_HOOK calls
-// into. Owns one Tracer and one Metrics registry, caches the scheduler's
-// current cycle (structures like the conflict manager and the redirect
+// into. Owns one Tracer and one Metrics registry, reads its domain
+// scheduler's clock (structures like the conflict manager and the redirect
 // table have no clock of their own), and drives the periodic occupancy
 // sampler. One Recorder per Simulator keeps parallel experiment runs fully
 // isolated, which is what makes traces submission-order deterministic.
@@ -15,16 +15,22 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/config.hpp"
+#include "sim/scheduler.hpp"
 
 namespace suvtm::obs {
 
 class Recorder {
  public:
-  Recorder(const sim::ObsParams& params, std::uint32_t num_cores);
+  /// `clock` is the scheduler of the domain this recorder observes; it
+  /// must outlive the recorder.
+  Recorder(const sim::ObsParams& params, std::uint32_t num_cores,
+           const sim::Scheduler& clock);
 
   bool tracing() const { return trace_on_; }
   bool trace_mem() const { return trace_mem_; }
-  Cycle now() const { return now_; }
+  /// The cycle of the event being dispatched: what clockless structures'
+  /// instants are stamped with.
+  Cycle now() const { return clock_.now(); }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   const TraceData& trace() const { return tracer_.data(); }
@@ -36,14 +42,13 @@ class Recorder {
   void set_sampler(Sampler s) { sampler_ = std::move(s); }
 
   // ---- sim/scheduler ------------------------------------------------------
-  /// One call per drained bucket: advances the cycle cache once for the
-  /// whole batch and pays the sampler countdown `n` events at a time.
+  /// One call per drained bucket of cycle `t`: pays the sampler countdown
+  /// `n` events at a time.
   void on_batch(Cycle t, std::uint64_t n) {
-    now_ = t;
     while (n >= sample_countdown_) {
       n -= sample_countdown_;
       sample_countdown_ = kSampleIntervalEvents;
-      if (sampler_) sampler_(metrics_, now_);
+      if (sampler_) sampler_(metrics_, t);
     }
     sample_countdown_ -= static_cast<std::uint32_t>(n);
   }
@@ -123,7 +128,7 @@ class Recorder {
   bool trace_on_ = false;
   bool trace_mem_ = false;
   std::uint32_t sample_countdown_ = kSampleIntervalEvents;
-  Cycle now_ = 0;
+  const sim::Scheduler& clock_;
   Tracer tracer_;
   Metrics metrics_;
   std::vector<CoreSpans> cores_;

@@ -203,10 +203,6 @@ struct PdesParams {
   /// SUVTM_SIM_THREADS). Clamped to `shards`; ignored when shards == 1.
   /// No semantic effect by construction.
   std::uint32_t host_threads = 1;
-  /// Conservative synchronization quantum in cycles. 0 = default (4096),
-  /// floored by the mesh's minimum cross-shard hop latency so the window
-  /// merge can never under-charge the NoC on a mailbox delivery.
-  Cycle window_cycles = 0;
 };
 
 struct SimConfig {

@@ -94,33 +94,7 @@ bool Scheduler::run(Cycle limit) {
     SUVTM_OBS_HOOK(obs_, on_batch(now_, batch));
     ++scan_t_;
   }
-  trim_quiescent();
   return true;
-}
-
-void Scheduler::trim_quiescent() {
-  // pending_ == 0 here: every slot and every node is free and every bucket
-  // is empty, so dropping storage cannot reorder anything. Without this, one
-  // burst of pending events pins its high-water allocation for the rest of
-  // the process (long sweeps reuse the embedding process).
-  if (slots_.size() > kPoolTrim) {
-    slots_.resize(kPoolTrim);
-    slots_.shrink_to_fit();
-    free_slots_.clear();
-    free_slots_.reserve(slots_.capacity());
-    for (std::uint32_t s = static_cast<std::uint32_t>(slots_.size()); s > 0;)
-      free_slots_.push_back(--s);
-  }
-  if (nodes_.size() > kPoolTrim) {
-    nodes_.resize(kPoolTrim);
-    nodes_.shrink_to_fit();
-    free_ = kNil;
-    for (std::uint32_t n = static_cast<std::uint32_t>(nodes_.size()); n > 0;) {
-      nodes_[--n].next = free_;
-      free_ = n;
-    }
-  }
-  if (overflow_.capacity() > kPoolTrim) overflow_.shrink_to_fit();
 }
 
 }  // namespace suvtm::sim

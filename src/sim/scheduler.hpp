@@ -33,8 +33,8 @@
 // retries cost one push each, not a conflict re-check.
 //
 // run() dispatches per *bucket*, not per event: `now_` advances once per
-// simulated cycle, and the observability cycle-cache/sampler update is one
-// batched call per non-empty cycle instead of one per event.
+// simulated cycle, and the observability sampler countdown is one batched
+// call per non-empty cycle instead of one per event.
 #pragma once
 
 #include <bit>
@@ -90,10 +90,6 @@ class Scheduler {
   static constexpr std::uint32_t kWheelBits = 11;
   static constexpr std::uint32_t kWheelSize = 1u << kWheelBits;  // 2048 cycles
   static constexpr Cycle kWheelMask = kWheelSize - 1;
-
-  /// Quiescent-point cap on the slot pool, the node pool and the overflow
-  /// heap's capacity (see trim_quiescent()).
-  static constexpr std::size_t kPoolTrim = 1024;
 
   Scheduler() : wheel_(kWheelSize) {}
 
@@ -160,8 +156,8 @@ class Scheduler {
   /// parked (counted in events_processed() too). Host diagnostics only.
   std::uint64_t parked_wakes() const { return parked_wakes_; }
 
-  /// Observability: the run loop advances the recorder's cycle cache and
-  /// drives its periodic occupancy sampler (nullptr = off).
+  /// Observability: the run loop drives the recorder's periodic occupancy
+  /// sampler (nullptr = off). The recorder reads now() itself.
   void set_obs(obs::Recorder* r) { obs_ = r; }
 
   // ---- introspection for tests and diagnostics -----------------------------
@@ -302,11 +298,6 @@ class Scheduler {
       append(static_cast<std::uint32_t>(k.t & kWheelMask), k.payload);
     }
   }
-
-  /// Release bursty high-water storage once the queue is quiescent
-  /// (pending_ == 0): a burst of pending events grows the slot pool, the
-  /// node pool and the overflow heap, and nothing else shrinks them.
-  void trim_quiescent();
 
   /// Place `k` into the overflow heap starting the upward search at hole
   /// `i` (the freshly appended last element).

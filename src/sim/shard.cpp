@@ -32,14 +32,12 @@ double PdesProfile::imbalance_bound() const {
 }
 
 Cycle ShardRuntime::effective_window(const SimConfig& cfg) {
-  const Cycle w = cfg.pdes.window_cycles != 0 ? cfg.pdes.window_cycles
-                                              : kDefaultWindowCycles;
   // Floor: one NoC hop. A remote request posted in window k is serviced at
   // boundary k+1, i.e. at most one window after its post cycle; keeping the
   // window at least one hop long means the boundary round-up never delivers
   // a message faster than the mesh could physically carry it.
   const Cycle hop = cfg.mem.mesh_wire_latency + cfg.mem.mesh_route_latency;
-  return std::max(w, hop);
+  return std::max(kWindowCycles, hop);
 }
 
 ShardRuntime::ShardRuntime(const SimConfig& cfg, const ShardMap& map,

@@ -153,8 +153,8 @@ struct PdesProfile {
 /// See shard.cpp for the merge and the timing model of remote reads.
 class ShardRuntime {
  public:
-  /// Default conservative window when cfg.pdes.window_cycles == 0.
-  static constexpr Cycle kDefaultWindowCycles = 4096;
+  /// The conservative synchronization quantum before the hop floor.
+  static constexpr Cycle kWindowCycles = 4096;
 
   /// `breakdowns` is the simulator's per-core breakdown array (indexed by
   /// global CoreId); the merger charges a requester's remote round trip
@@ -173,15 +173,13 @@ class ShardRuntime {
   /// deterministic stand-in for the serial path's direct propagation).
   void rethrow_domain_error() const;
 
-  Cycle window_cycles() const { return window_; }
-
   /// The host profile of the last run().
   const PdesProfile& profile() const { return profile_; }
 
-  /// The effective synchronization quantum for `cfg`: the configured (or
-  /// default 4096-cycle) window, floored by the mesh's minimum cross-shard
-  /// hop latency so a boundary-merged message can never be delivered
-  /// faster than one NoC hop.
+  /// The effective synchronization quantum for `cfg`: kWindowCycles,
+  /// floored by the mesh's minimum cross-shard hop latency so a
+  /// boundary-merged message can never be delivered faster than one NoC
+  /// hop.
   static Cycle effective_window(const SimConfig& cfg);
 
  private:

@@ -18,7 +18,8 @@ void Simulator::build_domain(Domain& d, CoreRange cores) {
     d.htm->set_checker(d.checker.get());
   }
   if (cfg_.obs.enabled()) {
-    d.recorder = std::make_unique<obs::Recorder>(cfg_.obs, cfg_.mem.num_cores);
+    d.recorder = std::make_unique<obs::Recorder>(cfg_.obs, cfg_.mem.num_cores,
+                                                 d.sched);
     d.sched.set_obs(d.recorder.get());
     d.htm->set_obs(d.recorder.get());
     d.mem->set_obs(d.recorder.get());

@@ -194,27 +194,16 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
       // it can distinguish the first store to a line (FasTM's old-line
       // writeback, SUV's entry allocation).
       const htm::StoreAction act = vm.on_tx_store(t, aw.addr);
-      t.write_sig.add(line);
-      if (t.write_lines.insert(line)) {
-        htm_.conflicts().note_write(core_, line);
-      }
+      htm_.note_write(t, line);
       target = act.target;
       extra = act.extra;
       extra_if_l1_hit = act.extra_if_l1_hit;
       buffered_store = act.buffered;
     } else {
-      t.read_sig.add(line);
-      if (t.read_lines.insert(line)) {
-        htm_.conflicts().note_read(core_, line);
-      }
-      if (aw.rmw) {
-        // Claim exclusive ownership now; the upcoming store to this line
-        // will not need a second coherence round or an upgrade.
-        t.write_sig.add(line);
-        if (t.write_lines.insert(line)) {
-          htm_.conflicts().note_write(core_, line);
-        }
-      }
+      htm_.note_read(t, line);
+      // An RMW claims exclusive ownership now; the upcoming store to this
+      // line will not need a second coherence round or an upgrade.
+      if (aw.rmw) htm_.note_write(t, line);
       // In-place schemes resolve every load to the identity action; skip
       // the virtual dispatch on this per-access path.
       if (!vm.loads_in_place()) {

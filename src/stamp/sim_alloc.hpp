@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -51,9 +53,12 @@ class SimArena {
     base_ = alloc.alloc(object_bytes_ * count, kLineBytes);
   }
 
-  /// Next free object; exhaustion is a workload sizing bug.
+  /// Next free object. Exhaustion (a workload sizing bug, or a retry storm
+  /// leaking more aborted attempts' nodes than the arena reserves) throws
+  /// std::runtime_error in every build rather than hand out an address
+  /// past the arena.
   Addr take() {
-    assert(used_ < count_ && "SimArena exhausted; enlarge the workload arena");
+    if (used_ == count_) [[unlikely]] throw_exhausted();
     return base_ + (used_++) * object_bytes_;
   }
 
@@ -61,6 +66,13 @@ class SimArena {
   std::uint64_t capacity() const { return count_; }
 
  private:
+  [[noreturn]] void throw_exhausted() const {
+    throw std::runtime_error(
+        "SimArena exhausted: all " + std::to_string(count_) + " objects of " +
+        std::to_string(object_bytes_) +
+        " bytes taken; enlarge the workload arena");
+  }
+
   Addr base_ = 0;
   std::uint64_t object_bytes_ = 0;
   std::uint64_t count_ = 0;

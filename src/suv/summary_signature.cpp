@@ -9,17 +9,16 @@ SummarySignature::SummarySignature(std::uint32_t bits, std::uint32_t hashes)
   assert(hashes >= 1 && hashes <= 8);
 }
 
-// All three operations derive their k counter indices from one mix, exactly
-// as Signature::hash(l, i, bits_) would (double hashing with an odd step),
-// so the structure tests that predict bits via Signature::hash stay valid.
+// All three operations walk the line's k counter indices with
+// htm::for_each_position, the read/write signatures' walk, so the
+// structure tests that predict bits via Signature::hash stay valid.
 
 void SummarySignature::add_mixed(std::uint64_t m) {
-  std::uint32_t b = static_cast<std::uint32_t>(m);
-  const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
-  for (std::uint32_t i = 0; i < k_; ++i, b += step) {
-    std::uint8_t& c = counts_[b & (bits_ - 1)];
+  htm::for_each_position(m, k_, bits_, [&](std::uint32_t idx) {
+    std::uint8_t& c = counts_[idx];
     if (c != 0xff) ++c;
-  }
+    return true;
+  });
   ++members_;
 }
 
@@ -28,26 +27,21 @@ bool SummarySignature::remove_mixed(std::uint64_t m) {
   // shared (count > 1) bits are decremented but remain set, saturated
   // counters are left alone (the filter may only ever shrink toward the
   // truth, never under-approximate it).
-  std::uint32_t b = static_cast<std::uint32_t>(m);
-  const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
   bool still_set = true;
-  for (std::uint32_t i = 0; i < k_; ++i, b += step) {
-    std::uint8_t& c = counts_[b & (bits_ - 1)];
+  htm::for_each_position(m, k_, bits_, [&](std::uint32_t idx) {
+    std::uint8_t& c = counts_[idx];
     if (c != 0 && c != 0xff) --c;
     if (c == 0) still_set = false;
-  }
+    return true;
+  });
   if (members_ > 0) --members_;
   return still_set;
 }
 
 bool SummarySignature::test(LineAddr l) const {
-  const std::uint64_t m = htm::Signature::mix(l);
-  std::uint32_t b = static_cast<std::uint32_t>(m);
-  const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
-  for (std::uint32_t i = 0; i < k_; ++i, b += step) {
-    if (counts_[b & (bits_ - 1)] == 0) return false;
-  }
-  return true;
+  return htm::for_each_position(
+      htm::Signature::mix(l), k_, bits_,
+      [&](std::uint32_t idx) { return counts_[idx] != 0; });
 }
 
 void SummarySignature::clear() {

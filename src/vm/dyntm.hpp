@@ -116,8 +116,6 @@ class DynTm final : public htm::VersionManager {
   Cycle partial_abort(htm::Txn& txn, std::size_t mark) override {
     return inner_->partial_abort(txn, mark);
   }
-  void on_suspend(CoreId core) override { inner_->on_suspend(core); }
-  void on_resume(CoreId core) override { inner_->on_resume(core); }
 
   Addr debug_resolve(CoreId core, Addr a) const override {
     return inner_->debug_resolve(core, a);

@@ -14,8 +14,7 @@ Addr with_line(LineAddr l, Addr original) {
 
 SuvVm::SuvVm(const sim::SuvParams& p, mem::MemorySystem& mem,
              std::uint32_t num_cores, CoreRange local)
-    : params_(p), mem_(mem), table_(p, num_cores, local), owned_(num_cores),
-      suspended_owned_(num_cores) {
+    : params_(p), mem_(mem), table_(p, num_cores, local) {
   pools_.reserve(num_cores);
   for (std::uint32_t c = 0; c < num_cores; ++c) {
     pools_.push_back(std::make_unique<suv::PreservedPool>(c));
@@ -57,7 +56,7 @@ htm::StoreAction SuvVm::on_tx_store(htm::Txn& txn, Addr a) {
     }
     suv::RedirectEntry e{line, target, suv::EntryState::kTxnRedirect, txn.core};
     extra += table_.insert_transient(e) + params_.redirect_copy_latency;
-    owned_[txn.core].push_back(line);
+    txn.redirected.push_back(line);
     ++sstats_.entries_created;
     return {with_line(target, a), extra, probe, false};
   }
@@ -85,7 +84,7 @@ htm::StoreAction SuvVm::on_tx_store(htm::Txn& txn, Addr a) {
       e->state = suv::EntryState::kTxnUnredirect;
       e->owner = txn.core;
       extra += table_.pin_transient(txn.core, line) + params_.redirect_copy_latency;
-      owned_[txn.core].push_back(line);
+      txn.redirected.push_back(line);
       ++sstats_.entries_toggled;
       return {with_line(e->original, a), extra, probe, false};
     }
@@ -97,27 +96,26 @@ htm::StoreAction SuvVm::on_tx_store(htm::Txn& txn, Addr a) {
 }
 
 Cycle SuvVm::overflow_flip_cost(const htm::Txn& txn) const {
-  const std::size_t owned = owned_[txn.core].size();
+  const std::size_t entries = txn.redirected.size();
   const std::size_t cap = table_.l1_capacity();
-  if (owned <= cap) return 0;
+  if (entries <= cap) return 0;
   // Spilled entries flip through the shared second-level table, one access
   // plus a cycle per entry.
-  return params_.l2_table_latency +
-         static_cast<Cycle>(owned - cap);
+  return params_.l2_table_latency + static_cast<Cycle>(entries - cap);
 }
 
 Cycle SuvVm::commit_cost(htm::Txn& txn) {
   Cycle c = params_.flash_commit + overflow_flip_cost(txn);
-  if (owned_[txn.core].size() > table_.l1_capacity()) {
+  if (txn.redirected.size() > table_.l1_capacity()) {
     ++sstats_.table_overflow_txns;
   }
   SUVTM_OBS_HOOK(obs_, on_suv_flash(txn.core, /*commit=*/true,
-                                    owned_[txn.core].size()));
+                                    txn.redirected.size()));
   return c;
 }
 
 void SuvVm::on_commit_done(htm::Txn& txn) {
-  for (LineAddr line : owned_[txn.core]) {
+  for (LineAddr line : txn.redirected) {
     const auto out = table_.commit_entry(line);
     if (out.deleted) {
       ++sstats_.entries_deleted;
@@ -129,45 +127,24 @@ void SuvVm::on_commit_done(htm::Txn& txn) {
       pools_[txn.core]->note_reclaimable_original();
     }
   }
-  owned_[txn.core].clear();
+  txn.redirected.clear();
   mem_.clear_speculative(txn.core);
 }
 
 Cycle SuvVm::abort_cost(htm::Txn& txn) {
   SUVTM_OBS_HOOK(obs_, on_suv_flash(txn.core, /*commit=*/false,
-                                    owned_[txn.core].size()));
+                                    txn.redirected.size()));
   return params_.flash_abort + overflow_flip_cost(txn);
 }
 
 Cycle SuvVm::partial_abort(htm::Txn& txn, std::size_t mark) {
   // Flash-flip only the transient entries the discarded frame created; the
   // outer frame's entries (and any toggles it made) survive untouched.
-  auto& owned = owned_[txn.core];
-  while (owned.size() > mark) {
-    discard_entry(owned.back());
-    owned.pop_back();
+  while (txn.redirected.size() > mark) {
+    discard_entry(txn.redirected.back());
+    txn.redirected.pop_back();
   }
   return params_.flash_abort;
-}
-
-void SuvVm::on_suspend(CoreId core) {
-  // The ownership list is keyed by core, not by transaction: park it with
-  // the suspended transaction or the core's NEXT transaction inherits the
-  // suspended one's transient entries and flash-flips them at its own
-  // commit/abort (publishing or discarding a parked transaction's specula-
-  // tive versions).
-  suspended_owned_[core].push_back(std::move(owned_[core]));
-  owned_[core].clear();
-}
-
-void SuvVm::on_resume(CoreId core) {
-  // HtmSystem::resume_txn restores the FIRST suspended transaction for the
-  // core; restore its ownership list in the same FIFO order.
-  assert(owned_[core].empty() &&
-         "resume with a running transaction's entries still live");
-  assert(!suspended_owned_[core].empty());
-  owned_[core] = std::move(suspended_owned_[core].front());
-  suspended_owned_[core].erase(suspended_owned_[core].begin());
 }
 
 void SuvVm::discard_entry(LineAddr line) {
@@ -184,8 +161,8 @@ void SuvVm::discard_entry(LineAddr line) {
 void SuvVm::on_abort_done(htm::Txn& txn) {
   // Oldest first, unlike partial_abort's newest-first pops: pool-release
   // order feeds later allocations, so each loop keeps its order.
-  for (LineAddr line : owned_[txn.core]) discard_entry(line);
-  owned_[txn.core].clear();
+  for (LineAddr line : txn.redirected) discard_entry(line);
+  txn.redirected.clear();
   // No invalidations: the original lines still hold the pre-transaction
   // values (single-update property); pool lines are simply released.
   mem_.clear_speculative(txn.core);

@@ -70,27 +70,15 @@ class SuvVm final : public htm::VersionManager {
   Cycle abort_cost(htm::Txn& txn) override;
   void on_abort_done(htm::Txn& txn) override;
   std::size_t nest_mark(const htm::Txn& txn) const override {
-    return owned_[txn.core].size();
+    return txn.redirected.size();
   }
   Cycle partial_abort(htm::Txn& txn, std::size_t mark) override;
-  void on_suspend(CoreId core) override;
-  void on_resume(CoreId core) override;
 
   suv::RedirectTable& table() { return table_; }
   const suv::RedirectTable& table() const { return table_; }
   suv::PreservedPool& pool(CoreId c) { return *pools_[c]; }
   const suv::PreservedPool& pool(CoreId c) const { return *pools_[c]; }
   const SuvVmStats& suv_stats() const { return sstats_; }
-
-  /// Visit every original with a transient entry attributable to `core`:
-  /// the running transaction's plus any suspended transactions' (audits).
-  template <class Fn>
-  void for_each_owned(CoreId c, Fn&& fn) const {
-    for (LineAddr l : owned_[c]) fn(l);
-    for (const auto& stash : suspended_owned_[c]) {
-      for (LineAddr l : stash) fn(l);
-    }
-  }
 
  private:
   /// Extra commit/abort flash cost for entries that spilled to the shared
@@ -104,11 +92,6 @@ class SuvVm final : public htm::VersionManager {
   mem::MemorySystem& mem_;
   suv::RedirectTable table_;
   std::vector<std::unique_ptr<suv::PreservedPool>> pools_;
-  /// Lines with transient entries owned by each core's running transaction.
-  std::vector<std::vector<LineAddr>> owned_;
-  /// Ownership lists parked by on_suspend, FIFO per core (matching
-  /// HtmSystem's suspended-transaction order for the core).
-  std::vector<std::vector<std::vector<LineAddr>>> suspended_owned_;
   SuvVmStats sstats_;
 };
 

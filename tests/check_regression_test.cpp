@@ -6,8 +6,9 @@
 //     backed (fixed by routing every fill through l2_insert_with_recall).
 //  2. SuvVm kept the running transaction's ownership list across
 //     suspend_txn, so a later transaction on the same core would flash-flip
-//     (publish or discard) the parked transaction's entries (fixed by
-//     parking the list in a per-core FIFO stash).
+//     (publish or discard) the parked transaction's entries (fixed first by
+//     parking the list in a per-core stash; the list now lives on the
+//     descriptor, htm::Txn::redirected, which suspend_txn copies aside).
 //  3. A lazy committer's committer-wins pass only walked RUNNING
 //     transactions, so a suspended conflicting reader resumed and committed
 //     against the published writes (fixed by HtmSystem::

@@ -263,11 +263,7 @@ class ParkTest : public ConflictManagerTest {
     for (LineAddr cand = l + 1;; ++cand) {
       Signature b(2048, 2);
       b.add(cand);
-      bool shared = false;
-      for (std::size_t w = 0; w < a.words().size(); ++w) {
-        shared = shared || (a.words()[w] & b.words()[w]) != 0;
-      }
-      if (!shared) return cand;
+      if (!a.intersects(b)) return cand;
     }
   }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "htm/htm_system.hpp"
 #include "sim/simulator.hpp"
 #include "stamp/framework.hpp"
@@ -137,6 +139,72 @@ TEST_F(HtmSystemTest, ResumeRestoresTheTransaction) {
   auto d = htm_->conflicts().check(1, 100, true, false, htm_->txn_view());
   EXPECT_EQ(d.action, ConflictManager::Action::kStall);
   EXPECT_EQ(d.holder, 0u);
+}
+
+// A suspend/resume round trip leaves the conflict manager as it found it:
+// with another transaction run and committed on the core in between, the
+// resumed transaction's column bits and every other core's decisions read
+// as before the suspend, and the resumed transaction's commit scrubs all
+// of its column bits again.
+TEST_F(HtmSystemTest, ResumeRoundTripRestoresColumnsAndDecisions) {
+  ConflictManager& cm = htm_->conflicts();
+  std::vector<LineAddr> lines;
+  Txn& t = run_txn(0);
+  for (LineAddr i = 0; i < 48; ++i) {
+    lines.push_back(1000 + 7 * i);
+    htm_->note_read(t, lines.back());
+  }
+  for (LineAddr i = 0; i < 24; ++i) {
+    lines.push_back(5000 + 13 * i);
+    htm_->note_write(t, lines.back());
+  }
+  htm_->note_write(t, 1000);  // read, then written: in both sets
+  // A bystander on core 2 keeps bits of its own in the columns.
+  Txn& bystander = run_txn(2);
+  for (LineAddr l = 3000; l < 3032; ++l) htm_->note_write(bystander, l);
+
+  struct Seen {
+    std::uint64_t read_cols, write_cols;
+    ConflictManager::Action read_action, write_action;
+    CoreId read_holder, write_holder;
+    bool operator==(const Seen&) const = default;
+  };
+  // Core 1 is idle: its probes stall at most and leave no wait-for edge.
+  const auto observe = [&] {
+    std::vector<Seen> seen;
+    std::vector<LineAddr> probes = lines;
+    for (LineAddr l = 0; l < 8192; l += 3) probes.push_back(l);
+    for (LineAddr l : probes) {
+      const auto r = cm.check(1, l, false, false, htm_->txn_view());
+      const auto w = cm.check(1, l, true, false, htm_->txn_view());
+      seen.push_back({cm.column_mask(l, false), cm.column_mask(l, true),
+                      r.action, w.action, r.holder, w.holder});
+    }
+    return seen;
+  };
+  const std::vector<Seen> before = observe();
+
+  ASSERT_TRUE(htm_->suspend_txn(0));
+  Txn& other = run_txn(0);
+  for (LineAddr l = 7000; l < 7040; ++l) htm_->note_read(other, l);
+  htm_->note_write(other, 1000 + 7 * 5);
+  other.reset_committed();
+  cm.set_isolation(0, false);
+  ASSERT_TRUE(htm_->resume_txn(0));
+  const std::vector<Seen> after = observe();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_TRUE(after[i] == before[i]) << "probe " << i;
+  }
+
+  htm_->txn(0).reset_committed();
+  cm.set_isolation(0, false);
+  for (LineAddr l : lines) {
+    EXPECT_EQ(cm.column_mask(l, false) & 1u, 0u) << "read column, line " << l;
+    EXPECT_EQ(cm.column_mask(l, true) & 1u, 0u) << "write column, line " << l;
+  }
+  EXPECT_NE(cm.column_mask(3000, true) & (1u << 2), 0u)
+      << "the bystander's bits survive core 0's release";
 }
 
 TEST_F(HtmSystemTest, ResumeFailsWithoutSuspension) {

@@ -190,6 +190,47 @@ TEST(TraceGoldenTest, ContendedCounterEmitsSpansAndAbortEdges) {
                    static_cast<double>(edges));
 }
 
+// Instants the recorder stamps itself (abort edges among them) carry the
+// cycle of the event that raised them. A deadlock victim that is the
+// requester starts its abort window in the very event whose check found
+// the cycle, so that edge and the window share one ts. A recorder clock
+// that lagged to the previous populated cycle stamped every edge early.
+TEST(TraceGoldenTest, RequesterVictimEdgeSharesItsAbortWindowCycle) {
+  sim::SimConfig cfg;
+  cfg.scheme = sim::Scheme::kLogTmSe;
+  cfg.mem.num_cores = 4;
+  cfg.obs.trace = true;
+  sim::Simulator sim(cfg);
+  sim::Barrier& bar = sim.make_barrier(sim.num_cores());
+  for (CoreId c = 0; c < sim.num_cores(); ++c) {
+    sim.spawn(c, counter_hammer(sim.context(c), bar, 0x9000, 40));
+  }
+  sim.run();
+
+  const auto deadlock = static_cast<std::uint8_t>(htm::AbortCause::kDeadlockCycle);
+  const std::vector<obs::TraceEvent> ev = sim.take_trace().events;
+  std::uint64_t edges = 0, same_cycle = 0;
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    const obs::TraceEvent& e = ev[i];
+    if (e.kind != obs::EventKind::kAbortEdge || e.cause != deadlock) continue;
+    ++edges;
+    // The victim's next abort window in emission order is the one this
+    // edge caused: a doomed transaction aborts at its next event.
+    std::size_t w = i + 1;
+    while (w < ev.size() && !(ev[w].kind == obs::EventKind::kAbortWindow &&
+                              ev[w].core == e.a)) {
+      ++w;
+    }
+    ASSERT_LT(w, ev.size()) << "edge at ts " << e.ts << " has no abort";
+    EXPECT_EQ(ev[w].cause, deadlock);
+    EXPECT_GE(ev[w].ts, e.ts);
+    if (ev[w].ts == e.ts) ++same_cycle;
+  }
+  ASSERT_GT(edges, 0u) << "scenario must close deadlock cycles";
+  EXPECT_GT(same_cycle, 0u)
+      << "no requester-victim edge shares its abort window's cycle";
+}
+
 // Parked NACK retries skip the conflict re-check and settle their obs stall
 // count in bulk; the trace must not tell. The constants were taken from
 // this run before retries could park.

@@ -148,42 +148,6 @@ TEST(SchedulerPropertyTest, TieStormPreservesFifoAcrossOverflowSpill) {
   for (int i = 0; i < 500; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(SchedulerPropertyTest, TrimReleasesSlotPoolAfterBurst) {
-  // A burst far above the trim threshold grows the slot pool and the node
-  // pool; once the queue drains (quiescent point), both must shrink back to
-  // the cap -- long parameter sweeps reuse one process and must not pin the
-  // high-water allocation forever.
-  Scheduler s;
-  std::uint64_t hits = 0;
-  const std::size_t kBurst = Scheduler::kPoolTrim * 4;
-  for (std::size_t i = 0; i < kBurst; ++i) {
-    s.at(static_cast<Cycle>(i % 7), [&hits] { ++hits; });
-  }
-  EXPECT_GE(s.slot_pool_capacity(), kBurst);
-  EXPECT_EQ(s.node_pool_size(), kBurst);
-  EXPECT_TRUE(s.run(100));
-  EXPECT_EQ(hits, kBurst);
-  EXPECT_LE(s.slot_pool_capacity(), Scheduler::kPoolTrim);
-  EXPECT_EQ(s.node_pool_size(), Scheduler::kPoolTrim);
-
-  // The trimmed scheduler must still be fully functional: both free lists
-  // were rebuilt, so scheduling after the trim reuses pooled slots and
-  // nodes in order. The second burst outgrows the trimmed node pool, so
-  // the rebuilt free list runs dry and the pool grows again mid-burst.
-  const int kAfter = static_cast<int>(Scheduler::kPoolTrim) + 64;
-  std::vector<int> order;
-  for (int i = 0; i < kAfter; ++i) {
-    s.after(static_cast<Cycle>(i % 5), [&order, i] { order.push_back(i); });
-  }
-  EXPECT_TRUE(s.run(s.now() + 10));
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kAfter));
-  std::vector<int> by_cycle[5];
-  for (int i = 0; i < kAfter; ++i) by_cycle[i % 5].push_back(i);
-  std::vector<int> want;
-  for (auto& v : by_cycle) want.insert(want.end(), v.begin(), v.end());
-  EXPECT_EQ(order, want);
-}
-
 TEST(SchedulerPropertyTest, SchedulingIntoPastThrows) {
   // The binary heap merely mis-ordered a past-time event; the wheel would
   // mis-bucket it a full window late, so the guard throws in every build --

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -53,6 +55,27 @@ TEST_F(SimDsTest, ArenaHandsOutDistinctObjects) {
   const Addr b = arena.take();
   EXPECT_GE(b, a + 24);
   EXPECT_EQ(arena.used(), 2u);
+}
+
+TEST_F(SimDsTest, ArenaExhaustionIsANamedError) {
+  SimArena arena(alloc_, 20, 3);  // rounds up to 24-byte objects
+  for (int i = 0; i < 3; ++i) arena.take();
+  try {
+    arena.take();
+    FAIL() << "a fourth take() from a 3-object arena must throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("SimArena exhausted"), std::string::npos) << what;
+    EXPECT_NE(what.find(" 3 objects"), std::string::npos) << what;
+    EXPECT_NE(what.find(" 24 bytes"), std::string::npos) << what;
+  }
+  EXPECT_EQ(arena.used(), 3u);
+  // From a simulated thread the error leaves Simulator::run.
+  const auto take_one = [&](sim::ThreadContext&) -> sim::Task<void> {
+    arena.take();
+    co_return;
+  };
+  EXPECT_THROW(run(take_one), std::runtime_error);
 }
 
 TEST_F(SimDsTest, PerThreadArenaSeparatesLines) {

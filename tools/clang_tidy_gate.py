@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""clang-tidy gate: fail CI on diagnostics not in the committed baseline.
+"""clang-tidy gate: fail CI on any diagnostic in the strict surfaces.
 
-    python3 tools/clang_tidy_gate.py <build-dir> [--write-baseline]
+    python3 tools/clang_tidy_gate.py <build-dir>
 
 Runs clang-tidy over the strict-profile surfaces -- src/obs/*.cpp (picked
 up by src/obs/.clang-tidy: bugprone-* and the init checks as errors) and
 src/sim/shard.cpp (same check set passed explicitly, since the root
-.clang-tidy keeps the repo-wide profile looser) -- then normalizes the
-diagnostics to (path, check, message) keys and compares them against
-tools/clang_tidy_baseline.json. A diagnostic missing from the baseline
-fails the gate; baseline entries that no longer fire are reported as
-stale so they get pruned.
+.clang-tidy keeps the repo-wide profile looser) -- and normalizes the
+diagnostics to (path, check, message) keys. Any diagnostic fails the
+gate: there is no baseline, new code fixes what it trips.
 
 Needs a compile database (configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON).
 When no clang-tidy binary is on PATH the gate skips with exit 0, so local
@@ -20,7 +18,6 @@ and gets the real check.
 
 from __future__ import annotations
 
-import json
 import re
 import shutil
 import subprocess
@@ -28,7 +25,6 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-BASELINE = REPO / "tools" / "clang_tidy_baseline.json"
 
 # The explicit check set for files outside a strict-profile directory.
 SHARD_CHECKS = (
@@ -93,7 +89,6 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(__doc__)
         return 2
     build_dir = Path(argv[0])
-    write = "--write-baseline" in argv[1:]
 
     tidy = find_clang_tidy()
     if tidy is None:
@@ -111,43 +106,13 @@ def main(argv: list[str]) -> int:
         diags.extend(run_surface(tidy, build_dir, rel, checks))
 
     # Dedup (header diagnostics repeat once per including TU).
-    counts: dict[tuple[str, str, str], int] = {}
-    for d in diags:
-        k = (d["path"], d["check"], d["message"])
-        counts[k] = max(counts.get(k, 0), 1)
-
-    if write:
-        data = {
-            "comment": "clang-tidy diagnostics grandfathered by "
-                       "tools/clang_tidy_gate.py --write-baseline. New "
-                       "code must fix, not baseline.",
-            "diagnostics": [
-                {"path": p, "check": c, "message": m}
-                for (p, c, m) in sorted(counts)
-            ],
-        }
-        BASELINE.write_text(json.dumps(data, indent=2) + "\n")
-        print(f"clang-tidy-gate: baseline written with {len(counts)} "
-              f"diagnostic(s)")
-        return 0
-
-    base: set[tuple[str, str, str]] = set()
-    if BASELINE.exists():
-        for e in json.loads(BASELINE.read_text()).get("diagnostics", []):
-            base.add((e["path"], e["check"], e["message"]))
-
-    new = sorted(k for k in counts if k not in base)
-    stale = sorted(k for k in base if k not in counts)
-    for p, c, m in new:
+    found = sorted({(d["path"], d["check"], d["message"]) for d in diags})
+    for p, c, m in found:
         print(f"{p}: [{c}] {m}")
-    for p, c, m in stale:
-        print(f"clang-tidy-gate: stale baseline entry: {p} [{c}]")
-    if new:
-        print(f"clang-tidy-gate: {len(new)} new diagnostic(s) "
-              f"({len(base)} baselined)")
+    if found:
+        print(f"clang-tidy-gate: {len(found)} diagnostic(s)")
         return 1
-    print(f"clang-tidy-gate: clean ({len(base)} baselined, "
-          f"{len(stale)} stale)")
+    print("clang-tidy-gate: clean")
     return 0
 
 

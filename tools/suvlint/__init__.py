@@ -1,5 +1,5 @@
 """suvlint: determinism-aware static analysis for the SUV-TM simulator.
 
 See DESIGN.md section 15 for the engine design, the rule catalogue and
-the suppression/baseline policy. Run as `python3 tools/suvlint`.
+the suppression policy. Run as `python3 tools/suvlint`.
 """

@@ -3,8 +3,8 @@
     python3 tools/suvlint [options] [dir-or-file ...]
 
 Default invocation (no arguments) scans `src/` from the repository root
-with every rule, applies tools/suvlint/baseline.json, and exits 1 on any
-unbaselined, unsuppressed finding.
+with every rule and exits 1 on any finding without a `// lint: allow()`
+annotation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from engine import Engine
-from rules import ALL_RULES, LEGACY_RULE_IDS, make_rules
+from rules import ALL_RULES, make_rules
 from sarif import write_sarif
 
 VERSION = "1.0"
@@ -40,20 +40,12 @@ def main(argv=None) -> int:
                          "root (default: src)")
     ap.add_argument("--rules",
                     help="comma-separated rule ids to run (default: all)")
-    ap.add_argument("--legacy-only", action="store_true",
-                    help="run only the ported lint_hotpath rule set")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule catalogue and exit")
     ap.add_argument("--sarif", metavar="FILE",
                     help="also write a SARIF 2.1.0 report")
-    ap.add_argument("--baseline", metavar="FILE",
-                    help="baseline file (default: tools/suvlint/"
-                         "baseline.json; 'none' disables)")
-    ap.add_argument("--write-baseline", action="store_true",
-                    help="regenerate the baseline from current findings")
     ap.add_argument("--show-suppressed", action="store_true",
-                    help="also print allow()- and baseline-suppressed "
-                         "findings")
+                    help="also print allow()-suppressed findings")
     args = ap.parse_args(argv)
 
     if args.list_rules:
@@ -66,8 +58,6 @@ def main(argv=None) -> int:
     root = find_repo_root(Path(__file__).parent)
 
     only = None
-    if args.legacy_only:
-        only = set(LEGACY_RULE_IDS)
     if args.rules:
         only = {r.strip() for r in args.rules.split(",") if r.strip()}
         known = {c.id for c in ALL_RULES}
@@ -78,28 +68,8 @@ def main(argv=None) -> int:
             return 2
     rules = make_rules(only)
 
-    if args.baseline == "none":
-        baseline = None
-    elif args.baseline:
-        baseline = Path(args.baseline)
-    else:
-        baseline = root / "tools" / "suvlint" / "baseline.json"
-
-    if args.write_baseline and baseline is None:
-        sys.stderr.write("suvlint: --write-baseline needs a baseline file; "
-                         "drop `--baseline none` or pass --baseline FILE\n")
-        return 2
-
     scan = args.paths if args.paths else ["src"]
-    eng = Engine(root, rules, scan, baseline)
-    findings = eng.run()
-
-    if args.write_baseline:
-        eng.write_baseline(findings)
-        n = sum(1 for f in findings if f.suppressed != "allow")
-        print(f"suvlint: baseline written with {n} finding(s) to "
-              f"{baseline}")
-        return 0
+    findings = Engine(root, rules, scan).run()
 
     active = [f for f in findings if not f.suppressed]
     suppressed = [f for f in findings if f.suppressed]
@@ -109,12 +79,6 @@ def main(argv=None) -> int:
     if args.show_suppressed:
         for f in suppressed:
             print(f"{f.render()}  (suppressed: {f.suppressed})")
-    for e in eng.stale_baseline:
-        print(f"suvlint: stale baseline entry: [{e['rule']}] {e['path']} "
-              f"({e['context'][:60]}...)"
-              if len(e.get("context", "")) > 60 else
-              f"suvlint: stale baseline entry: [{e['rule']}] {e['path']} "
-              f"({e.get('context', '')})")
 
     if args.sarif:
         write_sarif(args.sarif, findings, rules, VERSION)

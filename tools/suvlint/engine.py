@@ -1,4 +1,4 @@
-"""suvlint engine: rule registry, suppressions, baseline, reporting.
+"""suvlint engine: rule registry, suppressions, reporting.
 
 The engine walks the configured source trees once, builds a
 lexer.FileModel per file plus a cross-file AnalysisContext (type symbol
@@ -18,20 +18,12 @@ Suppressions
 
 A rationale after the closing paren (`// lint: allow(rule): why`) is the
 house style; determinism-rule suppressions double as the ordered-drain /
-canonical-order annotations DESIGN.md section 15 describes.
-
-Baseline
---------
-Grandfathered findings live in a committed JSON baseline keyed by
-(rule, path, normalized statement text) -- line numbers drift, statement
-text rarely does. Baselined findings are reported as suppressed; stale
-baseline entries are listed so they get cleaned up. `--write-baseline`
-regenerates the file from the current findings.
+canonical-order annotations DESIGN.md section 15 describes. There is no
+baseline: a finding is fixed or annotated.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,11 +54,7 @@ class Finding:
     path: str   # repo-relative posix path
     line: int   # 1-based
     message: str
-    context: str = ""      # normalized statement text (baseline key)
-    suppressed: str = ""   # "" | "allow" | "baseline"
-
-    def key(self) -> tuple[str, str, str]:
-        return (self.rule, self.path, self.context)
+    suppressed: str = ""   # "" | "allow"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -137,13 +125,10 @@ class AnalysisContext:
 
 
 class Engine:
-    def __init__(self, root: Path, rules: list[Rule],
-                 scan_dirs: list[str], baseline_path: Path | None = None):
+    def __init__(self, root: Path, rules: list[Rule], scan_dirs: list[str]):
         self.root = root
         self.rules = rules
         self.scan_dirs = scan_dirs
-        self.baseline_path = baseline_path
-        self.stale_baseline: list[dict] = []
 
     # -- file collection ------------------------------------------------------
 
@@ -179,21 +164,17 @@ class Engine:
             for rule in self.rules:
                 if not rule.applies_to(rel):
                     continue
-                for line_idx, message, stmt in rule.check(model, ctx):
+                for line_idx, message, _stmt in rule.check(model, ctx):
                     f = Finding(
                         rule=rule.id,
                         severity=rule.severity,
                         path=rel,
                         line=line_idx + 1,
                         message=message,
-                        context=stmt.text if stmt is not None else
-                        model.clean_lines[line_idx].strip()
-                        if line_idx < len(model.clean_lines) else "",
                     )
                     if self._allowed(model, rule.id, line_idx):
                         f.suppressed = "allow"
                     findings.append(f)
-        self._apply_baseline(findings)
         return findings
 
     # -- suppressions ---------------------------------------------------------
@@ -214,46 +195,6 @@ class Engine:
                     rule_id in ALLOW_RE.findall(model.raw_lines[j]):
                 return True
         return False
-
-    # -- baseline -------------------------------------------------------------
-
-    def _apply_baseline(self, findings: list[Finding]) -> None:
-        if self.baseline_path is None or not self.baseline_path.exists():
-            return
-        data = json.loads(self.baseline_path.read_text())
-        budget: dict[tuple[str, str, str], int] = {}
-        for e in data.get("findings", []):
-            k = (e["rule"], e["path"], e.get("context", ""))
-            budget[k] = budget.get(k, 0) + int(e.get("count", 1))
-        for f in findings:
-            if f.suppressed:
-                continue
-            k = f.key()
-            if budget.get(k, 0) > 0:
-                budget[k] -= 1
-                f.suppressed = "baseline"
-        self.stale_baseline = [
-            {"rule": r, "path": p, "context": c, "count": n}
-            for (r, p, c), n in sorted(budget.items()) if n > 0
-        ]
-
-    def write_baseline(self, findings: list[Finding]) -> None:
-        assert self.baseline_path is not None
-        counts: dict[tuple[str, str, str], int] = {}
-        for f in findings:
-            if f.suppressed == "allow":
-                continue
-            counts[f.key()] = counts.get(f.key(), 0) + 1
-        data = {
-            "comment": "suvlint grandfathered findings; regenerate with "
-                       "`python3 tools/suvlint --write-baseline`. New code "
-                       "must fix or annotate, not baseline.",
-            "findings": [
-                {"rule": r, "path": p, "context": c, "count": n}
-                for (r, p, c), n in sorted(counts.items())
-            ],
-        }
-        self.baseline_path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 # --- symbol harvesting -------------------------------------------------------

@@ -1,12 +1,9 @@
 """Rule registry: every rule class suvlint knows about."""
 
-from rules.hotpath import LEGACY_RULES
+from rules.hotpath import HOTPATH_RULES
 from rules.determinism import DETERMINISM_RULES
 
-ALL_RULES = LEGACY_RULES + DETERMINISM_RULES
-
-LEGACY_RULE_IDS = tuple(r.id for r in LEGACY_RULES)
-DETERMINISM_RULE_IDS = tuple(r.id for r in DETERMINISM_RULES)
+ALL_RULES = HOTPATH_RULES + DETERMINISM_RULES
 
 
 def make_rules(only: set[str] | None = None):

@@ -1,4 +1,4 @@
-"""Legacy hot-path rules, ported from tools/lint_hotpath.py onto the
+"""Hot-path rules, ported from the old regex scanner onto the
 statement engine. Semantics are the old scanner's, with its two known
 gaps fixed by the engine itself:
 
@@ -125,5 +125,5 @@ class SyncInDrainRule(_StatementRegexRule):
         return self.doc
 
 
-LEGACY_RULES = (NodeContainerRule, StdFunctionRule, AllocInLoopRule,
-                GrowthInLoopRule, SyncInDrainRule)
+HOTPATH_RULES = (NodeContainerRule, StdFunctionRule, AllocInLoopRule,
+                 GrowthInLoopRule, SyncInDrainRule)

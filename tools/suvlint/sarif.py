@@ -39,7 +39,7 @@ def to_sarif(findings, rules, tool_version: str) -> dict:
         }
         if f.suppressed:
             res["suppressions"] = [{
-                "kind": "inSource" if f.suppressed == "allow" else "external",
+                "kind": "inSource",
                 "justification": f.suppressed,
             }]
         results.append(res)

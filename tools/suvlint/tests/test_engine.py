@@ -3,14 +3,13 @@
 These pin the two behaviours the old regex scanner got wrong (multi-line
 statements slipping through; `// lint: allow()` above a brace-opening
 loop header silently ignored) plus the load-bearing engine mechanics:
-comment/string stripping, suppression placement, and the baseline.
+comment/string stripping and suppression placement.
 
 Run: python3 tools/suvlint/tests/test_engine.py
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -22,7 +21,7 @@ from rules import make_rules  # noqa: E402
 
 
 def run_on(source: str, dest: str = "src/sim/fixture.cpp",
-           only: set[str] | None = None, baseline: dict | None = None,
+           only: set[str] | None = None,
            extra: dict[str, str] | None = None):
     """Run the engine over a temp tree (one file, plus `extra`
     path -> text siblings); return (findings, engine)."""
@@ -32,11 +31,7 @@ def run_on(source: str, dest: str = "src/sim/fixture.cpp",
             f = root / rel
             f.parent.mkdir(parents=True, exist_ok=True)
             f.write_text(text)
-        baseline_path = None
-        if baseline is not None:
-            baseline_path = root / "baseline.json"
-            baseline_path.write_text(json.dumps(baseline))
-        eng = Engine(root, make_rules(only), ["src"], baseline_path)
+        eng = Engine(root, make_rules(only), ["src"])
         return eng.run(), eng
 
 
@@ -284,61 +279,6 @@ def test_nondet_accessor_is_flagged_cross_file():
     findings, _ = run_on(src, only={"nondet-iteration"},
                          extra={"src/htm/table.hpp": accessor})
     assert len(active(findings)) == 1, [f.render() for f in findings]
-
-
-# --- cli ---------------------------------------------------------------------
-
-def test_write_baseline_with_baseline_none_is_rejected():
-    import cli
-    rc = cli.main(["--baseline", "none", "--write-baseline"])
-    assert rc == 2, rc
-
-
-# --- baseline ----------------------------------------------------------------
-
-def test_baseline_suppresses_and_reports_stale():
-    src = (
-        "void f() {\n"
-        "  std::function<void()> cb;\n"
-        "}\n"
-    )
-    # First run with no baseline to learn the finding's context key.
-    findings, _ = run_on(src, only={"std-function"})
-    assert len(active(findings)) == 1
-    ctx = findings[0].context
-    baseline = {"findings": [
-        {"rule": "std-function", "path": "src/sim/fixture.cpp",
-         "context": ctx, "count": 1},
-        {"rule": "std-function", "path": "src/sim/gone.cpp",
-         "context": "std::function<void()> old;", "count": 1},
-    ]}
-    findings, eng = run_on(src, only={"std-function"}, baseline=baseline)
-    assert not active(findings)
-    assert findings[0].suppressed == "baseline"
-    assert len(eng.stale_baseline) == 1
-    assert eng.stale_baseline[0]["path"] == "src/sim/gone.cpp"
-
-
-def test_baseline_count_budget():
-    # Two identical statements, baseline budget of one: one suppressed,
-    # one active.
-    src = (
-        "void f() {\n"
-        "  std::function<void()> cb;\n"
-        "}\n"
-        "void g() {\n"
-        "  std::function<void()> cb;\n"
-        "}\n"
-    )
-    findings, _ = run_on(src, only={"std-function"})
-    assert len(active(findings)) == 2
-    ctx = findings[0].context
-    baseline = {"findings": [
-        {"rule": "std-function", "path": "src/sim/fixture.cpp",
-         "context": ctx, "count": 1},
-    ]}
-    findings, _ = run_on(src, only={"std-function"}, baseline=baseline)
-    assert len(active(findings)) == 1
 
 
 # --- scoping -----------------------------------------------------------------

@@ -45,7 +45,7 @@ def run_fixture(fixture: Path, dest: str):
         target = root / dest
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(fixture.read_text())
-        eng = Engine(root, make_rules(None), ["src"], None)
+        eng = Engine(root, make_rules(None), ["src"])
         return [f for f in eng.run() if not f.suppressed]
 
 
