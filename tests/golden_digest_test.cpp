@@ -9,8 +9,16 @@
 // SmallFn slot pool, that each domain has at most one pending event per
 // core, and that NACK retries park (the constant predates parked retries,
 // so it also proves that skipping them leaves every result unchanged).
+//
+// A second constant pins observability output the same way: the trace
+// events and every metrics scalar, histogram and series (the occupancy
+// samples included) of bayes under SUV-TM and LogTM-SE at scale 0.05 and
+// of the 64-core 4-shard ShardedKv point with trace_mem on. Samples carry
+// the cycle of the scheduler batch that fired them, so this constant also
+// pins which batches the scheduler reports to the sampler.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -23,6 +31,7 @@ namespace suvtm {
 namespace {
 
 constexpr std::uint64_t kGolden = 0xba743371c1a75a91ull;
+constexpr std::uint64_t kObsGolden = 0xb622d858db89a716ull;
 
 /// FNV-1a over padding-free stats blocks.
 class Fold {
@@ -59,6 +68,42 @@ class Fold {
     pod(static_cast<std::uint8_t>(r.has_dyntm));
     pod(r.dyntm);
   }
+  void metrics(const obs::MetricsSnapshot& m) {
+    pod(static_cast<std::uint64_t>(m.scalars.size()));
+    for (const auto& [name, v] : m.scalars) {
+      str(name);
+      pod(std::bit_cast<std::uint64_t>(v));
+    }
+    pod(static_cast<std::uint64_t>(m.histograms.size()));
+    for (const obs::HistogramSnapshot& h : m.histograms) {
+      str(h.name);
+      pod(h.data);
+      pod(static_cast<std::uint8_t>(h.linear));
+    }
+    pod(static_cast<std::uint64_t>(m.series.size()));
+    for (const obs::SeriesSnapshot& s : m.series) {
+      str(s.name);
+      pod(static_cast<std::uint64_t>(s.points.size()));
+      for (const obs::SeriesPoint& p : s.points) {
+        pod(p.t);
+        pod(p.v);
+      }
+    }
+  }
+  void trace(const obs::TraceData& t) {
+    pod(static_cast<std::uint64_t>(t.events.size()));
+    for (const obs::TraceEvent& e : t.events) {
+      pod(e.ts);
+      pod(e.dur);
+      pod(e.addr);
+      pod(e.a);
+      pod(e.b);
+      pod(static_cast<std::uint8_t>(e.kind));
+      pod(e.cause);
+      pod(e.core);
+    }
+    pod(t.dropped);
+  }
   std::uint64_t value() const { return h_; }
 
  private:
@@ -66,11 +111,11 @@ class Fold {
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-sim::SimConfig base_cfg(sim::Scheme scheme) {
+sim::SimConfig base_cfg(sim::Scheme scheme, bool obs = false) {
   sim::SimConfig cfg;
   cfg.scheme = scheme;
-  cfg.obs.trace = false;
-  cfg.obs.metrics = false;
+  cfg.obs.trace = obs;
+  cfg.obs.metrics = obs;
   return cfg;
 }
 
@@ -96,8 +141,9 @@ std::uint64_t parked_wakes(sim::Simulator& sim) {
   return n;
 }
 
-runner::RunResult run_stamp(stamp::AppId app, sim::Scheme scheme) {
-  sim::Simulator sim(base_cfg(scheme));
+runner::RunResult run_stamp(stamp::AppId app, sim::Scheme scheme,
+                            obs::TraceData* trace = nullptr) {
+  sim::Simulator sim(base_cfg(scheme, trace != nullptr));
   stamp::SuiteParams params;
   params.scale = 0.05;
   auto workload = stamp::make_workload(app);
@@ -109,11 +155,13 @@ runner::RunResult run_stamp(stamp::AppId app, sim::Scheme scheme) {
     EXPECT_GT(parked_wakes(sim), 0u)
         << "bayes under " << sim::scheme_name(scheme) << " parked no retry";
   }
-  return runner::harvest_result(sim, stamp::app_name(app));
+  return runner::harvest_result(sim, stamp::app_name(app), trace);
 }
 
-runner::RunResult run_kv64(std::uint32_t host_threads) {
-  sim::SimConfig cfg = base_cfg(sim::Scheme::kSuv);
+runner::RunResult run_kv64(std::uint32_t host_threads,
+                           obs::TraceData* trace = nullptr) {
+  sim::SimConfig cfg = base_cfg(sim::Scheme::kSuv, trace != nullptr);
+  cfg.obs.trace_mem = trace != nullptr;
   // Checker off for this point only: directory sharer masks are 32 bits
   // wide, so on a 64-core machine cores 32-63 alias onto 0-31 and the
   // coherence audit rejects the run (a known model defect, ROADMAP.md).
@@ -136,7 +184,7 @@ runner::RunResult run_kv64(std::uint32_t host_threads) {
   wl.verify(sim);
   expect_event_pools(sim, "sharded_kv");
   EXPECT_GT(parked_wakes(sim), 0u) << "the 64-core point parked no retry";
-  return runner::harvest_result(sim, "sharded_kv");
+  return runner::harvest_result(sim, "sharded_kv", trace);
 }
 
 TEST(GoldenDigest, IntegerStatsMatchTheCommittedConstant) {
@@ -154,6 +202,32 @@ TEST(GoldenDigest, IntegerStatsMatchTheCommittedConstant) {
   EXPECT_EQ(fold.value(), kGolden)
       << std::hex << "digest 0x" << fold.value()
       << ": a simulated result changed";
+}
+
+TEST(GoldenDigest, ObsTraceAndMetricsMatchTheCommittedConstant) {
+  Fold fold;
+  for (sim::Scheme scheme : {sim::Scheme::kSuv, sim::Scheme::kLogTmSe}) {
+    obs::TraceData trace;
+    const runner::RunResult r = run_stamp(stamp::AppId::kBayes, scheme, &trace);
+    ASSERT_FALSE(r.metrics.series.empty()) << "no occupancy sample taken";
+    ASSERT_FALSE(trace.events.empty());
+    fold.result(r);
+    fold.metrics(r.metrics);
+    fold.trace(trace);
+  }
+  obs::TraceData trace1;
+  obs::TraceData trace4;
+  const runner::RunResult kv1 = run_kv64(1, &trace1);
+  const runner::RunResult kv4 = run_kv64(4, &trace4);
+  EXPECT_EQ(kv1, kv4);
+  EXPECT_EQ(trace1, trace4);
+  ASSERT_FALSE(kv1.metrics.series.empty()) << "no occupancy sample taken";
+  fold.result(kv1);
+  fold.metrics(kv1.metrics);
+  fold.trace(trace1);
+  EXPECT_EQ(fold.value(), kObsGolden)
+      << std::hex << "digest 0x" << fold.value()
+      << ": a trace event or metrics value changed";
 }
 
 }  // namespace
