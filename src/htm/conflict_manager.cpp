@@ -220,14 +220,14 @@ void ConflictManager::park(CoreId core, const ParkMemo& memo) {
   memo_[core] = memo;
   set_column_bits(watch_cols_, core, memo.mix);
   parked_mask_ |= 1ull << core;
-  parks_[core]->parked = true;
+  parks_[core]->park();
 }
 
 void ConflictManager::unpark(CoreId core) {
   const std::uint64_t bit = 1ull << core;
   if ((parked_mask_ & bit) == 0) return;
   parked_mask_ &= ~bit;
-  parks_[core]->parked = false;
+  parks_[core]->unpark();
   for_each_position(memo_[core].mix, col_k_, col_bits_,
                     [&](std::uint32_t idx) {
                       watch_cols_[idx] &= ~bit;

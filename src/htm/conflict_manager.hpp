@@ -15,8 +15,9 @@
 // requester's line and access kind, the cores at or below the holder and
 // the holder's exact sets), so the manager memoizes it per core and parks
 // the core's wake record (sim::Park) until one of those inputs changes.
-// The scheduler then re-links the parked retries without re-checking, and
-// the core settles their stats in bulk (DESIGN.md section 3).
+// The scheduler then dispatches the parked retries without re-checking
+// (DESIGN.md section 12), and the core settles their stats in bulk
+// (section 3).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,7 @@
 #include "sim/config.hpp"
 
 namespace suvtm::sim {
-struct Park;
+class Park;
 }
 
 namespace suvtm::htm {
@@ -202,8 +203,8 @@ class ConflictManager {
 
   /// Let `core`'s NACK retries park: from now on every plain stall check()
   /// returns to `core` -- a holder, no victim, not a suspended-summary
-  /// stall -- records a ParkMemo and sets `park->parked`, and every change
-  /// that can alter that decision clears it again. Cores that never
+  /// stall -- records a ParkMemo and calls `park->park()`, and every change
+  /// that can alter that decision calls `park->unpark()`. Cores that never
   /// register (PDES remote requesters) never park.
   void enable_parking(CoreId core, sim::Park* park) { parks_[core] = park; }
 

@@ -45,6 +45,7 @@ class Recorder {
   /// One call per drained bucket of cycle `t`: pays the sampler countdown
   /// `n` events at a time.
   void on_batch(Cycle t, std::uint64_t n) {
+    ++batches_;
     while (n >= sample_countdown_) {
       n -= sample_countdown_;
       sample_countdown_ = kSampleIntervalEvents;
@@ -52,6 +53,9 @@ class Recorder {
     }
     sample_countdown_ -= static_cast<std::uint32_t>(n);
   }
+
+  /// on_batch() calls so far: one per cycle that dispatched an event.
+  std::uint64_t batches() const { return batches_; }
 
   // ---- sim/thread_context: txn lifecycle ----------------------------------
   void on_txn_begin(CoreId c, Cycle t, std::uint32_t site,
@@ -128,6 +132,7 @@ class Recorder {
   bool trace_on_ = false;
   bool trace_mem_ = false;
   std::uint32_t sample_countdown_ = kSampleIntervalEvents;
+  std::uint64_t batches_ = 0;
   const sim::Scheduler& clock_;
   Tracer tracer_;
   Metrics metrics_;

@@ -28,9 +28,35 @@
 // construction, no type-erased call), a Wakeable record's address (tag 2;
 // a core's NACK retries, commit/abort completions), or (slot << 2) | 1 into
 // a free-listed SmallFn slot pool for external callbacks (tests, harnesses).
-// Simulator events never touch the slot pool. A parked Wakeable (see Park)
-// is re-linked instead of dispatched: a NACKed core's provably repeated
-// retries cost one push each, not a conflict re-check.
+// Simulator events never touch the slot pool.
+//
+// Parked wakes leave the wheel. A parked Wakeable (see Park) would only
+// re-arm itself every `interval` cycles, so when a drain reaches one it
+// moves to lane `t mod interval` instead of being re-linked: the lane's
+// records all wake at the same cycles, and a cycle whose only events are
+// lane wakes (a "quiet" phase cycle) is never visited. Each lane entry
+// carries the order key its re-link would have had -- the push seq at its
+// virtual dispatch plus its rank among the wakes dispatched at that seq --
+// so nodes store their key too, and
+//   - a real bucket's drain merges its phase's lane between its nodes in
+//     key order, re-keying each entry exactly as a re-link would;
+//   - quiet cycles advance a lane by arithmetic: the key of a wake
+//     dispatched there is (the seq after the last real drain before that
+//     cycle, its position in the lane). A ring of the last `interval`
+//     drains' seqs, plus a checkpoint at run() entry for pushes made
+//     between run() calls, holds every value such a catch-up can need,
+//     because the cycle it asks about is less than `interval` cycles old;
+//   - Park::unpark() puts a record back at its exact (cycle, key) slot in
+//     the wheel or the overflow heap, behind the running handler if the
+//     wake is still due in the current bucket.
+// The order is exact because every key compares as the reference
+// scheduler's seq would: a wake dispatched after real push s and before
+// push s + 1 sorts between them, and wakes dispatched between the same two
+// pushes keep their dispatch order. Counts (events_processed(),
+// parked_wakes(), Park::skipped(), pending()), now() after run(limit) and
+// the obs sampler's batches come out as if every quiet cycle had been
+// drained: lanes are settled through the limit when run() returns, and the
+// sampler is told about every quiet cycle in order.
 //
 // run() dispatches per *bucket*, not per event: `now_` advances once per
 // simulated cycle, and the observability sampler countdown is one batched
@@ -41,6 +67,7 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -49,27 +76,43 @@
 
 namespace suvtm::sim {
 
-/// A Wakeable's parked-retry state. While `parked` is set, Scheduler::run
-/// does not call the record's on_wake(): it re-links the record `interval`
-/// cycles ahead through the ordinary push and counts the skip in
-/// `skipped`. The re-link is exactly what an on_wake() that only re-armed
-/// the record would have done -- same seq, same bucket or overflow-heap
-/// path, same event count -- so a skipped wake keeps its cycle, its
-/// same-cycle order and its place in events_processed(). Whoever sets
-/// `parked` (htm::ConflictManager, for a NACKed core whose retry provably
-/// repeats its decision) clears it on every change that could make the
-/// skipped call act differently; the owner settles `skipped` at its next
-/// real wake.
-struct Park {
-  Cycle interval = 0;         // re-link distance while parked (> 0)
-  std::uint64_t skipped = 0;  // wakes re-linked since the owner settled
-  bool parked = false;
+class Scheduler;
+
+/// A Wakeable's parked-retry state. While the record is parked,
+/// Scheduler::run does not call its on_wake(): the wake is dispatched
+/// virtually every Scheduler::park_interval() cycles -- at the cycle, in
+/// the same-cycle order and with the events_processed() count of an
+/// on_wake() that only re-armed the record -- and counted in skipped().
+/// Whoever parks the record (htm::ConflictManager, for a NACKed core whose
+/// retry provably repeats its decision) unparks it on every change that
+/// could make the skipped call act differently; the owner settles
+/// skipped() at its next real wake.
+class Park {
+ public:
+  bool parked() const { return parked_; }
+  /// Skip the owner's wakes from its next one on.
+  void park() { parked_ = true; }
+  /// Run the owner's next wake for real. A record waiting in a scheduler
+  /// lane goes back to the exact slot its re-armed wake would hold.
+  void unpark();
+
+  /// Wakes skipped since the owner last settled. Exact whenever no
+  /// Scheduler::run is on the stack, and for an unparked record always.
+  std::uint64_t skipped() const { return skipped_; }
+  std::uint64_t take_skipped() { return std::exchange(skipped_, 0); }
+
+ private:
+  friend class Scheduler;
+  Scheduler* laned_in_ = nullptr;  // set while the record waits in a lane
+  std::uint32_t lane_ = 0;         // which lane, while laned_in_ is set
+  bool parked_ = false;
+  std::uint64_t skipped_ = 0;
 };
 
 /// An intrusive event record: Scheduler::wake_at schedules its address as
 /// the event payload, and dispatch is one virtual call (or, while `park` is
-/// parked, a re-link without the call). The record must outlive its
-/// pending events.
+/// parked, a virtual dispatch without the call). The record must outlive
+/// its pending events.
 class Wakeable {
  public:
   virtual void on_wake() = 0;
@@ -92,6 +135,9 @@ class Scheduler {
   static constexpr Cycle kWheelMask = kWheelSize - 1;
 
   Scheduler() : wheel_(kWheelSize) {}
+  // Parked records point back at their scheduler.
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
 
   /// Current simulated time.
   Cycle now() const { return now_; }
@@ -140,11 +186,22 @@ class Scheduler {
     check_not_past(t);
     const auto payload = reinterpret_cast<std::uintptr_t>(&w);
     assert((payload & kTagMask) == 0);
+    // A parked record re-armed by a handler one interval ahead skips that
+    // wake: it goes straight to its lane instead of the wheel.
+    if (w.park.parked_ && in_run_ && t == now_ + interval_) [[unlikely]] {
+      join_lane(w, /*pushed=*/true);
+      return;
+    }
     push(t, static_cast<std::uint64_t>(payload) | kWakeTag);
   }
 
   /// Call `w.on_wake()` `delay` cycles from now.
   void wake_after(Cycle delay, Wakeable& w) { wake_at(now_ + delay, w); }
+
+  /// Set the distance between a parked record's skipped wakes (> 0). One
+  /// interval per scheduler: every record parked here re-arms by it.
+  void set_park_interval(Cycle interval);
+  Cycle park_interval() const { return interval_; }
 
   /// Process events until the queue is empty or `limit` cycles elapse.
   /// Returns false if the limit was hit with events still pending.
@@ -152,8 +209,8 @@ class Scheduler {
 
   std::size_t pending() const { return pending_; }
   std::uint64_t events_processed() const { return events_; }
-  /// Wake events re-linked without dispatch because their record was
-  /// parked (counted in events_processed() too). Host diagnostics only.
+  /// Wakes dispatched without on_wake() because their record was parked
+  /// (counted in events_processed() too). Host diagnostics only.
   std::uint64_t parked_wakes() const { return parked_wakes_; }
 
   /// Observability: the run loop drives the recorder's periodic occupancy
@@ -165,32 +222,64 @@ class Scheduler {
   std::size_t node_pool_size() const { return nodes_.size(); }
 
  private:
-  /// Overflow key: full (t, seq) order so re-bucketing replays insertion
+  friend class Park;
+
+  /// Order keys: (push seq << kRankBits) | rank. A pushed event has rank 0;
+  /// a lane entry's rank orders the parked wakes dispatched between the
+  /// same two pushes.
+  static constexpr unsigned kRankBits = 16;
+
+  /// Overflow key: full (t, key) order so re-bucketing replays dispatch
   /// order exactly. Payload encoding matches the buckets.
   struct Key {
     Cycle t;
-    std::uint64_t seq;
+    std::uint64_t key;
     std::uint64_t payload;
 
     bool before(const Key& o) const {
-      return t != o.t ? t < o.t : seq < o.seq;
+      return t != o.t ? t < o.t : key < o.key;
     }
   };
   static_assert(sizeof(Key) <= 24, "overflow keys must stay small PODs");
 
-  /// One pending bucketed event: its payload and the index of the next
-  /// node in its bucket's FIFO, or in the free list once recycled.
+  /// One pending bucketed event: its payload, its order key and the index
+  /// of the next node in its bucket's list, or in the free list once
+  /// recycled.
   struct Node {
     std::uint64_t payload;
+    std::uint64_t key;
     std::uint32_t next;
   };
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  /// A bucket's FIFO as first/last node indices; meaningful only while the
-  /// bucket's occupancy bit is set.
+  /// A bucket's list, in key order, as first/last node indices; meaningful
+  /// only while the bucket's occupancy bit is set.
   struct Bucket {
     std::uint32_t head;
     std::uint32_t tail;
+  };
+
+  /// A parked record between wakes: its order key for the lane's next
+  /// wake, and its first skipped wake not yet counted (in its Park,
+  /// parked_wakes() and events_processed()).
+  struct LaneEntry {
+    Wakeable* w;
+    std::uint64_t key;
+    Cycle uncounted;
+  };
+  /// The parked records of one phase (cycle mod interval), in key order.
+  /// All of them wake at `due`, then every interval cycles.
+  struct Lane {
+    Cycle due = 0;
+    std::vector<LaneEntry> entries;
+  };
+  static constexpr std::uint32_t kNoLane = ~std::uint32_t{0};
+
+  /// The seq a drain of cycle `t` started with, in the `run`-th run().
+  struct DrainSeq {
+    Cycle t;
+    std::uint64_t seq;
+    std::uint64_t run;
   };
 
   /// Payload tags (low two bits); tag 0 is a coroutine handle.
@@ -209,31 +298,38 @@ class Scheduler {
   [[noreturn]] void throw_scheduled_into_past(Cycle t) const;
 
   void push(Cycle t, std::uint64_t payload) {
-    ++seq_;
     ++pending_;
+    const std::uint64_t key = ++seq_ << kRankBits;
     // Invariant outside run(): window_start_ <= now_ <= t, so the unsigned
     // difference below is exact.
     if (t - window_start_ < kWheelSize) [[likely]] {
-      append(static_cast<std::uint32_t>(t & kWheelMask), payload);
+      append(static_cast<std::uint32_t>(t & kWheelMask), payload, key);
       // Events may be (re)scheduled at cycles the scan cursor already
       // passed without dispatching (e.g. at(now()) between run() calls).
       if (t < scan_t_) scan_t_ = t;
     } else {
-      push_overflow(t, payload);
+      push_overflow(Key{t, key, payload});
     }
   }
 
-  /// Append `payload` at the tail of bucket `idx`, taking a node from the
-  /// free list or growing the pool.
-  void append(std::uint32_t idx, std::uint64_t payload) {
+  /// A node holding `payload` and `key`, from the free list or the grown
+  /// pool.
+  std::uint32_t new_node(std::uint64_t payload, std::uint64_t key) {
     std::uint32_t n = free_;
     if (n != kNil) {
       free_ = nodes_[n].next;
-      nodes_[n] = Node{payload, kNil};
+      nodes_[n] = Node{payload, key, kNil};
     } else {
       n = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(Node{payload, kNil});
+      nodes_.push_back(Node{payload, key, kNil});
     }
+    ++window_count_;
+    return n;
+  }
+
+  /// Append at the tail of bucket `idx`; `key` is the bucket's largest.
+  void append(std::uint32_t idx, std::uint64_t payload, std::uint64_t key) {
+    const std::uint32_t n = new_node(payload, key);
     Bucket& b = wheel_[idx];
     if (occupied(idx)) {
       nodes_[b.tail].next = n;
@@ -242,12 +338,108 @@ class Scheduler {
       mark_occupied(idx);
     }
     b.tail = n;
-    ++window_count_;
   }
 
   /// The far-future branch of push(), kept out of line so the inlined
   /// wheel append stays small at every resume_at/wake_at/at call site.
-  void push_overflow(Cycle t, std::uint64_t payload);
+  void push_overflow(const Key& k);
+
+  // ---- parked lanes ----------------------------------------------------------
+  /// t mod interval, stepped from the previous call's phase: drains are
+  /// dense in time, so the step is usually less than an interval and takes
+  /// no division, and otherwise a 32-bit one.
+  std::uint32_t phase(Cycle t) {
+    const Cycle d = t - phase_t_;
+    const auto iv = static_cast<std::uint32_t>(interval_);
+    if (t < phase_t_ || d > 0xffffffffu) [[unlikely]] {
+      phase_ = static_cast<std::uint32_t>(t % interval_);
+    } else {
+      const auto step = static_cast<std::uint32_t>(d);
+      phase_ += step < iv ? step : step % iv;
+      if (phase_ >= iv) phase_ -= iv;
+    }
+    phase_t_ = t;
+    return phase_;
+  }
+  /// Dispatch one wheel node's event (a parked wake joins its lane).
+  void dispatch(std::uint64_t payload) {
+    if ((payload & kTagMask) == 0) [[likely]] {
+      std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(static_cast<std::uintptr_t>(payload)))
+          .resume();
+    } else if (payload & kWakeTag) {
+      Wakeable* w = reinterpret_cast<Wakeable*>(
+          static_cast<std::uintptr_t>(payload & ~kTagMask));
+      if (w->park.parked_) [[unlikely]] {
+        join_lane(*w, /*pushed=*/false);
+      } else {
+        w->on_wake();
+      }
+    } else {
+      const auto slot = static_cast<std::uint32_t>(payload >> 2);
+      // Move the callback out before running it: fn may schedule new
+      // events, which may reuse (and reassign) the freed slot.
+      SmallFn fn = std::move(slots_[slot]);
+      // lint: allow(growth-in-loop) -- capacity pre-reserved in at().
+      free_slots_.push_back(slot);
+      fn();
+    }
+  }
+  /// Dispatch the head node of bucket `idx`, recycle it, and return the
+  /// next one. The head stays the running node while its handler runs, so
+  /// an unpark can insert in key order behind it.
+  std::uint32_t dispatch_head(std::uint32_t idx, std::uint32_t n) {
+    dispatch(nodes_[n].payload);
+    // Recycle n only after its handler returns: an append to this bucket
+    // links the new node behind the tail, which may be n itself.
+    const std::uint32_t next = nodes_[n].next;
+    nodes_[n].next = free_;
+    free_ = n;
+    wheel_[idx].head = next;
+    return next;
+  }
+  bool lane_nonempty(std::uint32_t p) const {
+    return (lane_bits_[p >> 6] >> (p & 63u)) & 1u;
+  }
+  /// Set up the drain of cycle now_ (phase `p`) while records are laned:
+  /// report the quiet cycles before it to obs, and settle lane `p`.
+  void open_lane(std::uint32_t p);
+  /// Drain bucket `idx` from node `n` while its lane still has wakes due
+  /// now: the lane's entries and the nodes go in key order. Returns the
+  /// first node left once no lane wake is due; counts into the batch.
+  std::uint32_t merge_drain(std::uint32_t idx, std::uint32_t n,
+                            std::uint64_t& nodes, std::uint64_t& lane_wakes);
+  /// The drain of now_ is done: fix its lane's next wake.
+  void close_lane();
+  /// Record `w` in the lane of now_'s phase, behind the wakes already
+  /// dispatched in this bucket and ahead of those still due; it next wakes
+  /// one interval on. Either its wake in this bucket was skipped, or
+  /// (`pushed`) its handler just re-armed it: the entry then stands for the
+  /// node push() would have made, with that node's key.
+  void join_lane(Wakeable& w, bool pushed);
+  /// Dispatch lane `p`'s wakes at every cycle in [due, last] (all quiet)
+  /// by arithmetic: re-key the entries as the last such wake left them.
+  /// `end` is the last cycle drained so far. Returns the last such cycle,
+  /// or 0 if there was none.
+  Cycle settle_lane(std::uint32_t p, Cycle last, Cycle end);
+  /// Re-key every entry of `l` as wakes dispatched at a quiet cycle whose
+  /// seq in force is `seq`.
+  void rekey(Lane& l, std::uint64_t seq);
+  /// Count `e`'s skipped wakes before `wake`, its next one.
+  void count_skipped(LaneEntry& e, Cycle wake);
+  /// Park::unpark() of a laned record: back to the wheel at its slot.
+  void unlane(Park& p);
+  /// Insert a node in key order into the bucket of cycle `t` (or the
+  /// overflow heap).
+  void insert(Cycle t, std::uint64_t payload, std::uint64_t key);
+  /// The seq in force at quiet cycle `c` (phase `pc`) of this run(), with
+  /// no drain after `end`.
+  std::uint64_t seq_at_quiet(Cycle c, std::uint32_t pc, Cycle end) const;
+  /// Tell the obs sampler about every quiet cycle in (reported_t_, last].
+  void report_quiet(Cycle last);
+  /// run()'s early return at `limit` with events pending: settle and flush
+  /// every lane through the limit.
+  bool stop(Cycle limit);
 
   // ---- occupancy bitmap ----------------------------------------------------
   // One bit per bucket plus a one-word summary (bit w set iff occ_[w] != 0),
@@ -289,13 +481,13 @@ class Scheduler {
   }
 
   /// Move every overflow event inside the (re-positioned) window into its
-  /// bucket. Heap pops come out in (t, seq) order, and every event bucketed
-  /// directly afterwards has a larger seq, so buckets stay FIFO == seq.
+  /// bucket. Heap pops come out in (t, key) order, and every event bucketed
+  /// directly afterwards has a larger key, so buckets stay in key order.
   void refill_window() {
     while (!overflow_.empty() &&
            overflow_.front().t - window_start_ < kWheelSize) {
       const Key k = pop_min();
-      append(static_cast<std::uint32_t>(k.t & kWheelMask), k.payload);
+      append(static_cast<std::uint32_t>(k.t & kWheelMask), k.payload, k.key);
     }
   }
 
@@ -338,20 +530,40 @@ class Scheduler {
   Cycle now_ = 0;
   Cycle window_start_ = 0;  // wheel covers [window_start_, +kWheelSize)
   Cycle scan_t_ = 0;        // next cycle run() inspects (>= now_)
-  std::uint64_t seq_ = 0;
+  std::uint64_t seq_ = 0;   // pushes so far
   std::uint64_t events_ = 0;
   std::uint64_t parked_wakes_ = 0;
-  std::size_t pending_ = 0;       // bucketed + overflow events
+  std::size_t pending_ = 0;       // bucketed + overflow + laned events
   std::size_t window_count_ = 0;  // bucketed events only
   obs::Recorder* obs_ = nullptr;
-  std::vector<Bucket> wheel_;     // kWheelSize per-cycle FIFO buckets
+  std::vector<Bucket> wheel_;     // kWheelSize per-cycle buckets
   std::vector<Node> nodes_;       // node pool behind every bucket
   std::uint32_t free_ = kNil;     // free-list head, threaded through next
   std::uint64_t occ_[kOccWords] = {};  // bit per non-empty bucket
   std::uint64_t occ_summary_ = 0;      // bit w set iff occ_[w] != 0
-  std::vector<Key> overflow_;     // binary min-heap by (t, seq)
+  std::vector<Key> overflow_;     // binary min-heap by (t, key)
   std::vector<SmallFn> slots_;    // pending callbacks, indexed by payload>>2
   std::vector<std::uint32_t> free_slots_;
+
+  // ---- parked lanes ----------------------------------------------------------
+  Cycle interval_ = 0;
+  std::vector<Lane> lanes_;       // one per phase
+  std::vector<std::uint64_t> lane_bits_;  // bit p set iff lane p non-empty
+  std::size_t laned_ = 0;         // records waiting in lanes
+  bool in_run_ = false;
+  std::uint32_t merge_ = kNoLane;  // lane of the bucket being drained
+  std::size_t merge_pos_ = 0;     // its first entry not yet dispatched
+  std::uint64_t rank_ = 0;        // lane keys handed out this drain
+  std::vector<DrainSeq> drain_seq_;  // by phase: the last interval cycles
+  std::uint64_t runs_ = 0;        // run() calls so far
+  Cycle phase_t_ = 0;             // phase() cache: a cycle and its phase
+  std::uint32_t phase_ = 0;
+  Cycle reported_t_ = 0;          // quiet cycles <= this reached obs
 };
+
+inline void Park::unpark() {
+  parked_ = false;
+  if (laned_in_ != nullptr) laned_in_->unlane(*this);
+}
 
 }  // namespace suvtm::sim

@@ -21,7 +21,7 @@ ThreadContext::ThreadContext(CoreId core, const SimConfig& cfg,
     : core_(core), cfg_(cfg), sched_(sched), mem_(mem), htm_(htm),
       txn_(&htm.txn(core)), breakdown_(breakdown), rng_(rng_seed),
       checker_(checker), obs_(obs), port_(port) {
-  park.interval = cfg.htm.stall_retry_interval;
+  sched.set_park_interval(cfg.htm.stall_retry_interval);
   htm.conflicts().enable_parking(core, &park);
 }
 
@@ -47,7 +47,7 @@ void ThreadContext::arm_wake(WakeKind kind, Cycle delay, MemAwaiter* aw,
 }
 
 void ThreadContext::settle_parked() {
-  const std::uint64_t n = std::exchange(park.skipped, 0);
+  const std::uint64_t n = park.take_skipped();
   if (n == 0) return;
   htm::ConflictManager& cm = htm_.conflicts();
   cm.settle_parked(core_, n);

@@ -17,8 +17,10 @@
 // completions -- share one per-core slot, scheduled as the context's own
 // address (Scheduler::wake_at) and dispatched by on_wake(). The slot's park
 // state is registered with the conflict manager, which parks a NACK retry
-// that provably repeats its stall; the scheduler then re-links it without
-// calling on_wake(), and settle_parked() books the skipped retries.
+// that provably repeats its stall; the scheduler then dispatches it in a
+// lane without calling on_wake(), and settle_parked() books the skipped
+// retries. Every core re-arms a NACK by htm.stall_retry_interval, the
+// scheduler's one park interval.
 #pragma once
 
 #include <coroutine>

@@ -277,8 +277,8 @@ class ParkTest : public ConflictManagerTest {
   }
 
   bool parked(CoreId c) const {
-    EXPECT_EQ(cm_.parked(c), parks_[c].parked);
-    return parks_[c].parked;
+    EXPECT_EQ(cm_.parked(c), parks_[c].parked());
+    return parks_[c].parked();
   }
 
   sim::Park parks_[kCores];
@@ -339,14 +339,14 @@ TEST_F(ParkTest, RequesterWinsDoomDoesNotPark) {
   }
   auto d = cm.check(0, 100, false, false, view_);
   EXPECT_EQ(d.victim, 1u);
-  EXPECT_FALSE(park.parked);
+  EXPECT_FALSE(park.parked());
   // The younger requester falls back to a plain stall, which parks.
   sim::Park young;
   cm.enable_parking(2, &young);
   start(2, {}, {});
   cm.set_isolation(2, true);
   EXPECT_EQ(cm.check(2, 100, false, false, view_).victim, kNoCore);
-  EXPECT_TRUE(young.parked);
+  EXPECT_TRUE(young.parked());
 }
 
 TEST_F(ParkTest, SettleCountsTheSkippedChecks) {

@@ -54,11 +54,11 @@ TEST_F(HtmSystemTest, DoomUnparksTheVictim) {
   htm_->conflicts().note_write(1, 100);
   run_txn(0);
   htm_->conflicts().check(0, 100, false, false, htm_->txn_view());
-  ASSERT_TRUE(park.parked);
+  ASSERT_TRUE(park.parked());
   htm_->doom(1);  // another core's doom leaves the park alone
-  EXPECT_TRUE(park.parked);
+  EXPECT_TRUE(park.parked());
   htm_->doom(0);  // a doomed requester aborts at its next retry
-  EXPECT_FALSE(park.parked);
+  EXPECT_FALSE(park.parked());
 }
 
 TEST_F(HtmSystemTest, SuspendAndResumeUnpark) {
@@ -71,14 +71,14 @@ TEST_F(HtmSystemTest, SuspendAndResumeUnpark) {
   run_txn(2);
   const auto park_on_holder = [&] {
     htm_->conflicts().check(0, 100, false, false, htm_->txn_view());
-    return park.parked;
+    return park.parked();
   };
   ASSERT_TRUE(park_on_holder());
   ASSERT_TRUE(htm_->suspend_txn(2));
-  EXPECT_FALSE(park.parked);
+  EXPECT_FALSE(park.parked());
   ASSERT_TRUE(park_on_holder());
   ASSERT_TRUE(htm_->resume_txn(2));
-  EXPECT_FALSE(park.parked);
+  EXPECT_FALSE(park.parked());
 }
 
 TEST_F(HtmSystemTest, CommitTokenIsExclusive) {

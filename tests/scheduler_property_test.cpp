@@ -5,15 +5,22 @@
 // on purpose: same-cycle tie storms, delays past the wheel window (overflow
 // heap + re-bucketing on the window jump), events scheduling events, and
 // interleaved run(limit) segments with injections between them.
+//
+// A second, differential suite drives parked Wakeables through the
+// scheduler's lanes against a reference that re-arms every parked wake by
+// hand, one interval at a time -- the semantics the lanes must reproduce.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "check/check.hpp"
+#include "obs/recorder.hpp"
+#include "sim/config.hpp"
 #include "sim/scheduler.hpp"
 
 namespace suvtm::sim {
@@ -146,6 +153,284 @@ TEST(SchedulerPropertyTest, TieStormPreservesFifoAcrossOverflowSpill) {
   EXPECT_TRUE(s.run(t + 1));
   ASSERT_EQ(order.size(), 500u);
   for (int i = 0; i < 500; ++i) EXPECT_EQ(order[i], i);
+}
+
+// ---- parked wakes: lanes vs a hand re-arming reference -----------------------
+
+/// The reference: one (cycle, seq)-ordered map, one event popped at a
+/// time. A parked record's wake does not run its handler: it counts a skip
+/// and re-arms the record `interval` cycles on with a fresh seq. The obs
+/// recorder gets one batch per run of same-cycle pops.
+class ReferenceParkScheduler {
+ public:
+  struct Rec {
+    bool parked = false;
+    std::uint64_t skipped = 0;
+    std::function<void()> on_wake;
+  };
+
+  ReferenceParkScheduler(Cycle interval, std::size_t records,
+                         obs::Recorder* obs)
+      : interval_(interval), recs_(records), obs_(obs) {}
+
+  Cycle now() const { return now_; }
+  void at(Cycle t, std::function<void()> fn) {
+    ASSERT_GE(t, now_);
+    q_.emplace(std::pair{t, ++seq_}, Ev{std::move(fn), -1});
+  }
+  void wake_at(Cycle t, int r) {
+    ASSERT_GE(t, now_);
+    q_.emplace(std::pair{t, ++seq_}, Ev{{}, r});
+  }
+  Rec& rec(int r) { return recs_[r]; }
+
+  bool run(Cycle limit) {
+    for (;;) {
+      if (q_.empty() || q_.begin()->first.first > limit) {
+        flush();
+        return q_.empty();
+      }
+      const auto it = q_.begin();
+      if (batch_ != 0 && it->first.first != now_) flush();
+      now_ = it->first.first;
+      Ev ev = std::move(it->second);
+      q_.erase(it);
+      ++events_;
+      ++batch_;
+      if (ev.rec < 0) {
+        ev.fn();
+      } else if (recs_[ev.rec].parked) {
+        ++recs_[ev.rec].skipped;
+        ++parked_wakes_;
+        wake_at(now_ + interval_, ev.rec);
+      } else {
+        recs_[ev.rec].on_wake();
+      }
+    }
+  }
+
+  std::size_t pending() const { return q_.size(); }
+  std::uint64_t events_processed() const { return events_; }
+  std::uint64_t parked_wakes() const { return parked_wakes_; }
+
+ private:
+  struct Ev {
+    std::function<void()> fn;
+    int rec;
+  };
+  void flush() {
+    if (batch_ != 0 && obs_ != nullptr) obs_->on_batch(now_, batch_);
+    batch_ = 0;
+  }
+
+  Cycle interval_;
+  Cycle now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t events_ = 0;
+  std::uint64_t parked_wakes_ = 0;
+  std::uint64_t batch_ = 0;
+  std::multimap<std::pair<Cycle, std::uint64_t>, Ev> q_;
+  std::vector<Rec> recs_;
+  obs::Recorder* obs_;
+};
+
+/// sim::Scheduler behind the reference's record interface.
+class LaneParkScheduler {
+ public:
+  struct Rec final : Wakeable {
+    std::function<void()> fn;
+    void on_wake() override { fn(); }
+  };
+
+  LaneParkScheduler(Cycle interval, std::size_t records, obs::Recorder* obs) {
+    s_.set_park_interval(interval);
+    s_.set_obs(obs);
+    for (std::size_t i = 0; i < records; ++i) {
+      recs_.push_back(std::make_unique<Rec>());
+    }
+  }
+
+  Cycle now() const { return s_.now(); }
+  void at(Cycle t, std::function<void()> fn) { s_.at(t, std::move(fn)); }
+  void wake_at(Cycle t, int r) { s_.wake_at(t, *recs_[r]); }
+  bool run(Cycle limit) { return s_.run(limit); }
+  std::size_t pending() const { return s_.pending(); }
+  std::uint64_t events_processed() const { return s_.events_processed(); }
+  std::uint64_t parked_wakes() const { return s_.parked_wakes(); }
+  const Scheduler& scheduler() const { return s_; }
+
+  void set_handler(int r, std::function<void()> fn) {
+    recs_[r]->fn = std::move(fn);
+  }
+  bool parked(int r) const { return recs_[r]->park.parked(); }
+  void park(int r) { recs_[r]->park.park(); }
+  void unpark(int r) { recs_[r]->park.unpark(); }
+  std::uint64_t skipped(int r) const { return recs_[r]->park.skipped(); }
+
+ private:
+  Scheduler s_;
+  std::vector<std::unique_ptr<Rec>> recs_;
+};
+
+/// The same record interface over the reference.
+class RefParkScheduler : public ReferenceParkScheduler {
+ public:
+  using ReferenceParkScheduler::ReferenceParkScheduler;
+  void set_handler(int r, std::function<void()> fn) {
+    rec(r).on_wake = std::move(fn);
+  }
+  bool parked(int r) { return rec(r).parked; }
+  void park(int r) { rec(r).parked = true; }
+  void unpark(int r) { rec(r).parked = false; }
+  std::uint64_t skipped(int r) { return rec(r).skipped; }
+};
+
+/// What must agree after every run(): the clock, the counts and the
+/// return value, per run() call.
+struct RunState {
+  bool drained;
+  Cycle now;
+  std::size_t pending;
+  std::uint64_t events;
+  std::uint64_t parked_wakes;
+  std::vector<std::uint64_t> skipped;
+  std::uint64_t obs_batches;
+  bool operator==(const RunState&) const = default;
+};
+
+struct ParkRun {
+  std::vector<std::pair<Cycle, int>> log;  // (cycle, id) of every handler
+  std::vector<RunState> runs;
+  std::vector<Cycle> samples;  // obs sampler cycles
+};
+
+/// Records retry NACK-style: a real wake often parks itself and re-arms
+/// one interval on. Handlers also park and unpark other records (whose
+/// wakes may sit before or after theirs in the same cycle), re-arm with
+/// delays of 0-3, of exactly one interval, of 1-64 and past the wheel,
+/// wake idle records, and schedule callbacks that park and unpark too.
+/// The run proceeds in run(limit) windows with at() pushes, parks and
+/// unparks between them. Every decision comes from one RNG consumed in
+/// dispatch order, so any divergence in order shows in the log.
+template <class Sched>
+ParkRun drive_parked(std::uint64_t seed, Cycle interval) {
+  constexpr int kRecs = 12;
+  ParkRun out;
+  sim::ObsParams op;
+  op.metrics = true;
+  Scheduler clock;
+  obs::Recorder obs(op, 1, clock);
+  obs.set_sampler([&out](obs::Metrics&, Cycle t) { out.samples.push_back(t); });
+  Sched s(interval, kRecs, &obs);
+  std::uint64_t x = seed;
+  const auto rng = [&x] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return x >> 33;
+  };
+  std::vector<bool> armed(kRecs, false);
+  std::uint64_t budget = 6000;
+  const auto wake = [&](int r, Cycle t) {
+    armed[r] = true;
+    s.wake_at(t, r);
+  };
+  const auto poke = [&](int q) {  // park or unpark another record
+    if (rng() % 2 == 0) s.park(q);
+    else s.unpark(q);
+  };
+  for (int r = 0; r < kRecs; ++r) {
+    s.set_handler(r, [&, r] {
+      out.log.emplace_back(s.now(), r);
+      armed[r] = false;
+      if (budget == 0) return;
+      --budget;
+      for (std::uint64_t k = rng() % 3; k > 0; --k) {
+        poke(static_cast<int>(rng() % kRecs));
+      }
+      const std::uint64_t c = rng() % 16;
+      if (c < 7) {  // a NACK: park and retry one interval on
+        s.park(r);
+        wake(r, s.now() + interval);
+      } else if (c < 9) {
+        wake(r, s.now() + rng() % 4);
+      } else if (c < 10) {
+        wake(r, s.now() + interval);
+      } else if (c < 11) {
+        wake(r, s.now() + Scheduler::kWheelSize + rng() % 3000);
+      } else if (c < 14) {
+        wake(r, s.now() + 1 + rng() % 64);
+      }  // else: idle until someone wakes it
+      const int q = static_cast<int>(rng() % kRecs);
+      if (!armed[q]) wake(q, s.now() + (rng() % 2 == 0 ? interval : rng() % 8));
+      if (rng() % 4 == 0) {
+        const int t = static_cast<int>(rng() % kRecs);
+        s.at(s.now() + rng() % 3, [&, t] {
+          out.log.emplace_back(s.now(), 100 + t);
+          poke(t);
+        });
+      }
+    });
+  }
+  for (int r = 0; r < kRecs; ++r) wake(r, static_cast<Cycle>(r % 3));
+
+  Cycle limit = 0;
+  for (int window = 0;; ++window) {
+    limit += 1 + rng() % 97;
+    const bool drained = s.run(limit);
+    RunState st{drained, s.now(), s.pending(), s.events_processed(),
+                s.parked_wakes(), {}, obs.batches()};
+    for (int r = 0; r < kRecs; ++r) st.skipped.push_back(s.skipped(r));
+    out.runs.push_back(std::move(st));
+    if (drained) break;
+    if (budget == 0 || window > 20000) {
+      // Wind down: every record's next wake runs for real and stops.
+      for (int r = 0; r < kRecs; ++r) s.unpark(r);
+      continue;
+    }
+    // Between windows: the kind of pushes a PDES merge makes (at now()
+    // too), and parks and unparks from outside run().
+    for (std::uint64_t k = rng() % 3; k > 0; --k) {
+      const int t = static_cast<int>(rng() % kRecs);
+      s.at(s.now() + rng() % 40, [&, t] {
+        out.log.emplace_back(s.now(), 200 + t);
+        poke(t);
+      });
+    }
+    if (rng() % 3 == 0) poke(static_cast<int>(rng() % kRecs));
+    const int q = static_cast<int>(rng() % kRecs);
+    if (!armed[q]) wake(q, s.now() + rng() % 30);
+  }
+  return out;
+}
+
+TEST(SchedulerParkPropertyTest, LanesMatchAReferenceThatReArmsEveryWake) {
+  std::uint64_t lane_buckets = 0;
+  for (Cycle interval : {Cycle{1}, Cycle{3}, Cycle{20}, Cycle{97},
+                         Cycle{Scheduler::kWheelSize + 5}}) {
+    for (std::uint64_t seed : {0x1ull, 0xdeadbeefull, 0x0123456789abcdefull}) {
+      const ParkRun want = drive_parked<RefParkScheduler>(seed, interval);
+      const ParkRun got = drive_parked<LaneParkScheduler>(seed, interval);
+      ASSERT_GT(want.log.size(), 6000u);
+      ASSERT_GT(want.runs.back().parked_wakes, 2000u)
+          << "the workload must park";
+      ASSERT_EQ(got.log.size(), want.log.size())
+          << "interval " << interval << " seed " << seed;
+      for (std::size_t i = 0; i < want.log.size(); ++i) {
+        ASSERT_EQ(got.log[i], want.log[i])
+            << "dispatch " << i << " of interval " << interval << " seed "
+            << seed;
+      }
+      ASSERT_EQ(got.runs.size(), want.runs.size());
+      for (std::size_t i = 0; i < want.runs.size(); ++i) {
+        ASSERT_EQ(got.runs[i], want.runs[i])
+            << "after run " << i << " of interval " << interval << " seed "
+            << seed;
+      }
+      EXPECT_EQ(got.samples, want.samples);
+      EXPECT_FALSE(want.samples.empty());
+      lane_buckets += want.runs.back().obs_batches;
+    }
+  }
+  EXPECT_GT(lane_buckets, 0u);
 }
 
 TEST(SchedulerPropertyTest, SchedulingIntoPastThrows) {

@@ -146,7 +146,8 @@ TEST(SchedulerTest, WakeExceptionsPropagateOutOfRun) {
 
 /// A NACK-retry stand-in: each real wake logs and re-arms `interval`
 /// cycles later until `left` real wakes are done. In `silent` mode a wake
-/// only re-arms -- what a parked wake's re-link must be equivalent to.
+/// only re-arms -- what a parked wake's virtual dispatch must be
+/// equivalent to.
 struct RetryWake final : Wakeable {
   Scheduler& s;
   std::vector<std::pair<char, Cycle>>* log;
@@ -156,7 +157,7 @@ struct RetryWake final : Wakeable {
   RetryWake(Scheduler& sc, std::vector<std::pair<char, Cycle>>* l, Cycle iv,
             int n)
       : s(sc), log(l), left(n) {
-    park.interval = iv;
+    s.set_park_interval(iv);
   }
   void on_wake() override {
     if (silent) {
@@ -165,7 +166,7 @@ struct RetryWake final : Wakeable {
       log->push_back({'R', s.now()});
       if (--left == 0) return;
     }
-    s.wake_after(park.interval, *this);
+    s.wake_after(s.park_interval(), *this);
   }
 };
 
@@ -186,8 +187,9 @@ RetryRun run_retry_scenario(bool use_park) {
   Scheduler s;
   RetryWake r(s, &out.log, 20, 100);
   const auto set_quiet = [&](bool q) {
-    if (use_park) r.park.parked = q;
-    else r.silent = q;
+    if (!use_park) r.silent = q;
+    else if (q) r.park.park();
+    else r.park.unpark();
   };
   std::function<void(char, int)> tick = [&](char id, int k) {
     out.log.push_back({id, s.now()});
@@ -203,9 +205,9 @@ RetryRun run_retry_scenario(bool use_park) {
   s.at(10, [&] { tick('B', 0); });
   EXPECT_TRUE(s.run(~Cycle{0}));
   out.events = s.events_processed();
-  out.quiet = use_park ? r.park.skipped : r.silent_wakes;
+  out.quiet = use_park ? r.park.skipped() : r.silent_wakes;
   if (use_park) {
-    EXPECT_EQ(s.parked_wakes(), r.park.skipped);
+    EXPECT_EQ(s.parked_wakes(), r.park.skipped());
   }
   return out;
 }
@@ -238,21 +240,22 @@ TEST(SchedulerParkTest, ParkedWakeKeepsItsOrderAcrossWindowEdges) {
 }
 
 TEST(SchedulerParkTest, ParkedWakeSpillsThroughTheOverflowHeap) {
-  // A re-link distance beyond the wheel takes the overflow heap, and the
-  // re-bucketed wake still runs after the event that shares its cycle and
-  // was scheduled before the re-link.
+  // A park interval beyond the wheel: the unparked wake returns to its
+  // slot through the overflow heap, and the re-bucketed wake still runs
+  // after the event that shares its cycle and was scheduled before the
+  // skipped wake re-armed.
   Scheduler s;
   std::vector<std::pair<char, Cycle>> log;
   const Cycle far = Scheduler::kWheelSize + 5;
   RetryWake r(s, &log, far, 2);
   s.wake_at(1, r);
-  r.park.parked = true;
+  r.park.park();
   s.at(1 + far, [&] {  // scheduled before the re-link: runs first
     log.push_back({'X', s.now()});
-    r.park.parked = false;
+    r.park.unpark();
   });
   EXPECT_TRUE(s.run(~Cycle{0}));
-  EXPECT_EQ(r.park.skipped, 1u);
+  EXPECT_EQ(r.park.skipped(), 1u);
   EXPECT_EQ(log, (std::vector<std::pair<char, Cycle>>{
                      {'X', 1 + far}, {'R', 1 + far}, {'R', 1 + 2 * far}}));
   EXPECT_EQ(s.events_processed(), 4u);
