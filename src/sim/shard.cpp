@@ -45,7 +45,8 @@ ShardRuntime::ShardRuntime(const SimConfig& cfg, const ShardMap& map,
                            Breakdown* breakdowns)
     : cfg_(cfg), map_(map), domains_(std::move(domains)), boxes_(boxes),
       breakdowns_(breakdowns), window_(effective_window(cfg)),
-      retry_(map.shards), errors_(map.shards), window_busy_s_(map.shards) {
+      retry_(map.shards), errors_(map.shards), window_busy_s_(map.shards),
+      claimed_(map.shards) {
   // One-way NoC latency between shard home tiles (a shard's home tile is
   // its first core's tile): the conservative transport charge for a
   // boundary-merged message in each direction.
@@ -66,29 +67,51 @@ ShardRuntime::ShardRuntime(const SimConfig& cfg, const ShardMap& map,
 
 bool ShardRuntime::run(Cycle max_cycles) {
   const std::uint32_t S = map_.shards;
-  max_cycles_ = max_cycles;
-  boundary_ = std::min<Cycle>(window_, max_cycles + 1);
+  // Windows end at cap_ at the latest: one past the last cycle the run may
+  // reach, saturated so that max_cycles = ~0 does not wrap to 0.
+  cap_ = max_cycles == ~Cycle{0} ? max_cycles : max_cycles + 1;
+  boundary_ = std::min<Cycle>(window_, cap_);
   done_ = false;
   overran_ = false;
 
-  // Domain d is driven by host thread d % N for the whole run: the static
-  // assignment means every thread count -- including N == 1 -- executes the
-  // identical per-domain schedule, so bit-identity across thread counts is
-  // a property of the code path, not a property we hope the merge restores.
+  // Each host thread runs its own domains (d % N == k) first, then claims
+  // any domain no thread has started this window. A domain's window is
+  // independent of every other domain's and of the thread that runs it,
+  // so every thread count -- including N == 1 -- executes the identical
+  // per-domain schedule: bit-identity across thread counts is a property
+  // of the code path, not a property we hope the merge restores. Claiming
+  // keeps one descheduled host thread from holding up every barrier.
   const std::uint32_t N = std::min<std::uint32_t>(
       std::max<std::uint32_t>(1, cfg_.pdes.host_threads), S);
   profile_ = PdesProfile{};
   profile_.host_threads = N;
   profile_.domain_busy_s.assign(S, 0.0);
   profile_.thread_wait_s.assign(N, 0.0);
+  for (auto& c : claimed_) c.store(0, std::memory_order_relaxed);
 
-  std::barrier bar(static_cast<std::ptrdiff_t>(N),
-                   [this]() noexcept { end_window(); });
+  // The completion step runs on one thread while the others wait, and
+  // must not throw: an error in the merge goes to the error slots.
+  std::barrier bar(static_cast<std::ptrdiff_t>(N), [this]() noexcept {
+    try {
+      end_window();
+    } catch (...) {
+      errors_[merging_] = std::current_exception();
+      done_ = true;
+    }
+  });
 
   auto worker = [&](std::uint32_t k) {
     for (;;) {
-      for (std::uint32_t d = k; d < S; d += N) {
-        if (errors_[d]) continue;
+      // Claim tags are window numbers, so no flag needs resetting; the
+      // count is read after the barrier that published it.
+      const std::uint64_t window = profile_.windows + 1;
+      const auto run_domain = [&](std::uint32_t d) {
+        // Claim first: only the claimant reads the domain's error slot.
+        if (claimed_[d].exchange(window, std::memory_order_relaxed) ==
+                window ||
+            errors_[d]) {
+          return;
+        }
         const HostClock::time_point t0 = HostClock::now();
         try {
           // Execute every event with t < boundary_; cross-boundary events
@@ -98,7 +121,9 @@ bool ShardRuntime::run(Cycle max_cycles) {
           errors_[d] = std::current_exception();
         }
         window_busy_s_[d] = seconds_since(t0);
-      }
+      };
+      for (std::uint32_t d = k; d < S; d += N) run_domain(d);
+      for (std::uint32_t d = 0; d < S; ++d) run_domain(d);
       const HostClock::time_point w0 = HostClock::now();
       // The one cross-thread synchronization point per window; the
       // completion function above merges the mailboxes on a single thread
@@ -142,6 +167,7 @@ void ShardRuntime::end_window() {
 
 void ShardRuntime::merge_boundary() {
   const std::uint32_t S = map_.shards;
+  merging_ = 0;
   for (const auto& e : errors_) {
     if (e) {
       done_ = true;
@@ -153,6 +179,7 @@ void ShardRuntime::merge_boundary() {
   // within a receiver, previously stalled requests in arrival order, then
   // fresh mail by ascending sender, each box in post (FIFO) order.
   for (std::uint32_t r = 0; r < S; ++r) {
+    merging_ = r;
     retry_scratch_.clear();
     retry_scratch_.swap(retry_[r]);
     for (const RemoteMsg& m : retry_scratch_) process_remote(r, m);
@@ -174,11 +201,11 @@ void ShardRuntime::merge_boundary() {
     done_ = true;
     return;
   }
-  if (boundary_ > max_cycles_) {
+  if (boundary_ >= cap_) {
     overran_ = true;
     return;
   }
-  boundary_ = std::min<Cycle>(boundary_ + window_, max_cycles_ + 1);
+  boundary_ = cap_ - boundary_ > window_ ? boundary_ + window_ : cap_;
 }
 
 void ShardRuntime::process_remote(std::uint32_t to, const RemoteMsg& m) {

@@ -14,6 +14,7 @@
 // so RunResult/trace/metrics bytes cannot depend on the host thread count.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <vector>
@@ -148,8 +149,9 @@ struct PdesProfile {
 };
 
 /// Conservative window loop: every domain runs its wheel up to the window
-/// boundary on its host thread (domain d on thread d % host_threads), the
-/// threads barrier, and one thread merges the mailboxes deterministically.
+/// boundary on one host thread (thread d % host_threads first; a thread
+/// done with its own domains claims one nobody has started), the threads
+/// barrier, and one thread merges the mailboxes deterministically.
 /// See shard.cpp for the merge and the timing model of remote reads.
 class ShardRuntime {
  public:
@@ -166,7 +168,8 @@ class ShardRuntime {
   /// Run the window loop until every domain drains (returns true) or the
   /// cycle limit is exceeded with work still pending (returns false).
   /// Exceptions escaping a domain (checker failures, scheduler guards) are
-  /// captured per-domain; call rethrow_domain_error() afterwards.
+  /// captured per-domain, and one escaping a boundary merge in the slot of
+  /// the domain being merged; call rethrow_domain_error() afterwards.
   bool run(Cycle max_cycles);
 
   /// Rethrow the lowest-numbered domain's captured exception, if any (the
@@ -196,9 +199,10 @@ class ShardRuntime {
   Breakdown* breakdowns_;
   Cycle window_ = 0;
   Cycle boundary_ = 0;
-  Cycle max_cycles_ = 0;
+  Cycle cap_ = 0;  // one past the last cycle the run may reach
   bool done_ = false;
   bool overran_ = false;
+  std::uint32_t merging_ = 0;  // receiver being merged (its error slot)
   /// Requests NACKed by the owner's conflict check; reprocessed (in arrival
   /// order, before fresh mail) at each subsequent boundary.
   std::vector<std::vector<RemoteMsg>> retry_;
@@ -208,9 +212,13 @@ class ShardRuntime {
   /// Per-domain captured exception; plain slots, synchronized by the
   /// window barrier (each is written before an arrive and read after).
   std::vector<std::exception_ptr> errors_;
-  /// Each domain's busy seconds in the current window; written by its
-  /// thread, folded into profile_ by end_window() (same barrier hand-off).
+  /// Each domain's busy seconds in the current window; written by the
+  /// thread that ran it, folded into profile_ by end_window() (same
+  /// barrier hand-off).
   std::vector<double> window_busy_s_;
+  /// The window number each domain was last claimed in: the first thread
+  /// to exchange this window's number in runs the domain.
+  std::vector<std::atomic<std::uint64_t>> claimed_;
   PdesProfile profile_;
 };
 

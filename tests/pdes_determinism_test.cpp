@@ -102,6 +102,34 @@ TEST(PdesDeterminism, HostThreadsInertOnMonolithicMachine) {
   EXPECT_EQ(ref.json, dflt.json);
 }
 
+TEST(PdesDeterminism, UnboundedCycleCapMatchesTheDefaultCap) {
+  // max_cycles = ~0 is a valid config. The window loop used to compute the
+  // first boundary as max_cycles + 1, which wrapped to 0: the whole run
+  // then executed in window 0, and the merge scheduled a remote reply into
+  // the past inside the barrier's noexcept completion (std::terminate).
+  for (std::uint32_t threads : {1u, 4u}) {
+    sim::SimConfig cfg = sharded_cfg(sim::Scheme::kSuv, 3, threads);
+    stamp::ShardedKvParams p = small_params(3);
+    p.ops_per_thread = 50;
+    const auto run = [&](Cycle cap) {
+      cfg.max_cycles = cap;
+      sim::Simulator sim(cfg);
+      stamp::ShardedKv wl(p);
+      wl.build(sim);
+      sim.run();
+      wl.verify(sim);
+      Harvest h;
+      h.result = runner::harvest_result(sim, "sharded_kv", &h.trace);
+      return h;
+    };
+    const Harvest dflt = run(sim::SimConfig{}.max_cycles);
+    const Harvest unbounded = run(~Cycle{0});
+    EXPECT_GT(dflt.result.htm.commits, 0u);
+    EXPECT_EQ(dflt.result, unbounded.result) << threads << " host threads";
+    EXPECT_EQ(dflt.trace, unbounded.trace);
+  }
+}
+
 sim::ThreadTask foreign_tx_load(sim::ThreadContext& tc, Addr foreign) {
   co_await tc.tx_begin(1);
   co_await tc.load(foreign);
