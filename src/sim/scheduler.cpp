@@ -149,6 +149,7 @@ void Scheduler::close_lane() {
 
 void Scheduler::join_lane(Wakeable& w, bool pushed) {
   assert(interval_ > 0 && "set_park_interval() before parking");
+  assert(w.park.laned_in_ == nullptr && "one pending wake per parked record");
   if (merge_ == kNoLane) {
     // The drain's first lane key: no rank was handed out yet.
     rank_ = 0;

@@ -31,27 +31,29 @@
 // Simulator events never touch the slot pool.
 //
 // Parked wakes leave the wheel. A parked Wakeable (see Park) would only
-// re-arm itself every `interval` cycles, so when a drain reaches one it
-// moves to lane `t mod interval` instead of being re-linked: the lane's
-// records all wake at the same cycles, and a cycle whose only events are
-// lane wakes (a "quiet" phase cycle) is never visited. Each lane entry
-// carries the order key its re-link would have had -- the push seq at its
-// virtual dispatch plus its rank among the wakes dispatched at that seq --
-// so nodes store their key too, and
+// re-arm itself every `interval` cycles, so when a drain reaches one, or
+// its handler re-arms it one interval ahead, it moves to lane
+// `t mod interval` instead: a lane's records all wake at the same cycles,
+// and a cycle whose only events are lane wakes (a "quiet" cycle) is never
+// visited. Each lane entry carries the order key a re-link would have
+// had -- the push seq at its virtual dispatch plus its rank among the
+// wakes dispatched after that push -- so nodes store their key too, and
 //   - a real bucket's drain merges its phase's lane between its nodes in
 //     key order, re-keying each entry exactly as a re-link would;
-//   - quiet cycles advance a lane by arithmetic: the key of a wake
-//     dispatched there is (the seq after the last real drain before that
-//     cycle, its position in the lane). A ring of the last `interval`
-//     drains' seqs, plus a checkpoint at run() entry for pushes made
-//     between run() calls, holds every value such a catch-up can need,
-//     because the cycle it asks about is less than `interval` cycles old;
+//   - quiet cycles advance a lane by arithmetic. Within one run() the seq
+//     moves only inside drains, so a wake dispatched at a quiet cycle takes
+//     the seq the next drain started with (or the current one), ranked by
+//     its position in the lane. Drains record their starting seq per
+//     cycle mod interval, which covers every cycle a catch-up asks about:
+//     it is less than an interval old. Records of earlier run() calls are
+//     ignored, so pushes made between run() calls (PDES merges, harness
+//     at() calls) come before every wake the next run dispatches;
 //   - Park::unpark() puts a record back at its exact (cycle, key) slot in
 //     the wheel or the overflow heap, behind the running handler if the
 //     wake is still due in the current bucket.
-// The order is exact because every key compares as the reference
-// scheduler's seq would: a wake dispatched after real push s and before
-// push s + 1 sorts between them, and wakes dispatched between the same two
+// The order is exact because every key compares as the re-linking
+// scheduler's seq would: a wake dispatched after push s and before push
+// s + 1 sorts between them, and wakes dispatched between the same two
 // pushes keep their dispatch order. Counts (events_processed(),
 // parked_wakes(), Park::skipped(), pending()), now() after run(limit) and
 // the obs sampler's batches come out as if every quiet cycle had been
@@ -86,7 +88,8 @@ class Scheduler;
 /// Whoever parks the record (htm::ConflictManager, for a NACKed core whose
 /// retry provably repeats its decision) unparks it on every change that
 /// could make the skipped call act differently; the owner settles
-/// skipped() at its next real wake.
+/// skipped() at its next real wake. A parked record has at most one
+/// pending wake, as a ThreadContext's single wake slot guarantees.
 class Park {
  public:
   bool parked() const { return parked_; }
