@@ -105,7 +105,14 @@ bool Scheduler::run(Cycle limit) {
 }
 
 void Scheduler::open_lane(std::uint32_t p) {
-  if (obs_ != nullptr && now_ > reported_t_ + 1) report_quiet(now_ - 1);
+  if (obs_ != nullptr && now_ > reported_t_ + 1) {
+    // Step back from now_'s phase to the first unreported cycle's.
+    const Cycle back = now_ - reported_t_ - 1;
+    const auto b =
+        static_cast<std::uint32_t>(back < interval_ ? back : back % interval_);
+    report_quiet(now_ - 1, p >= b ? p - b
+                                  : p + static_cast<std::uint32_t>(interval_) - b);
+  }
   Lane& l = lanes_[p];
   if (l.entries.empty()) return;
   merge_ = p;
@@ -265,13 +272,10 @@ std::uint64_t Scheduler::seq_at_quiet(Cycle c, std::uint32_t pc,
   return seq_;
 }
 
-void Scheduler::report_quiet(Cycle last) {
+void Scheduler::report_quiet(Cycle last, std::uint32_t p) {
   if (last <= reported_t_) return;
-  Cycle c = reported_t_ + 1;
-  std::uint32_t p = phase(c);
-  for (;; ++c) {
-    const std::size_t n = lanes_[p].entries.size();
-    if (n != 0) obs_->on_batch(c, n);
+  for (Cycle c = reported_t_ + 1;; ++c) {
+    if (lane_nonempty(p)) obs_->on_batch(c, lanes_[p].entries.size());
     if (c == last) break;
     if (++p == interval_) p = 0;
   }
@@ -280,7 +284,10 @@ void Scheduler::report_quiet(Cycle last) {
 
 bool Scheduler::stop(Cycle limit) {
   if (laned_ != 0) {
-    if (obs_ != nullptr) report_quiet(limit);
+    if (obs_ != nullptr && limit > reported_t_) {
+      report_quiet(limit,
+                   static_cast<std::uint32_t>((reported_t_ + 1) % interval_));
+    }
     for (std::uint32_t p = 0; p < interval_; ++p) {
       Lane& l = lanes_[p];
       if (l.entries.empty()) continue;

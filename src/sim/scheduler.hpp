@@ -349,17 +349,14 @@ class Scheduler {
 
   // ---- parked lanes ----------------------------------------------------------
   /// t mod interval, stepped from the previous call's phase: drains are
-  /// dense in time, so the step is usually less than an interval and takes
-  /// no division, and otherwise a 32-bit one.
+  /// dense in time, so the step is usually less than an interval.
   std::uint32_t phase(Cycle t) {
     const Cycle d = t - phase_t_;
-    const auto iv = static_cast<std::uint32_t>(interval_);
-    if (t < phase_t_ || d > 0xffffffffu) [[unlikely]] {
+    if (t < phase_t_) [[unlikely]] {
       phase_ = static_cast<std::uint32_t>(t % interval_);
     } else {
-      const auto step = static_cast<std::uint32_t>(d);
-      phase_ += step < iv ? step : step % iv;
-      if (phase_ >= iv) phase_ -= iv;
+      phase_ += static_cast<std::uint32_t>(d < interval_ ? d : d % interval_);
+      if (phase_ >= interval_) phase_ -= static_cast<std::uint32_t>(interval_);
     }
     phase_t_ = t;
     return phase_;
@@ -438,8 +435,9 @@ class Scheduler {
   /// The seq in force at quiet cycle `c` (phase `pc`) of this run(), with
   /// no drain after `end`.
   std::uint64_t seq_at_quiet(Cycle c, std::uint32_t pc, Cycle end) const;
-  /// Tell the obs sampler about every quiet cycle in (reported_t_, last].
-  void report_quiet(Cycle last);
+  /// Tell the obs sampler about every quiet cycle in (reported_t_, last];
+  /// `p` is the phase of reported_t_ + 1.
+  void report_quiet(Cycle last, std::uint32_t p);
   /// run()'s early return at `limit` with events pending: settle and flush
   /// every lane through the limit.
   bool stop(Cycle limit);
