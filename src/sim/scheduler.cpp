@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <string>
 #include <utility>
@@ -273,13 +274,30 @@ std::uint64_t Scheduler::seq_at_quiet(Cycle c, std::uint32_t pc,
 }
 
 void Scheduler::report_quiet(Cycle last, std::uint32_t p) {
-  if (last <= reported_t_) return;
-  for (Cycle c = reported_t_ + 1;; ++c) {
-    if (lane_nonempty(p)) obs_->on_batch(c, lanes_[p].entries.size());
+  // Jump from one non-empty phase to the next: the cost is one step per
+  // quiet lane cycle, not one per cycle.
+  for (Cycle c = reported_t_ + 1; c <= last;) {
+    const std::uint32_t q = next_lane(p);
+    const Cycle step = q >= p ? q - p : q + interval_ - p;
+    if (step > last - c) break;
+    c += step;
+    obs_->on_batch(c, lanes_[q].entries.size());
     if (c == last) break;
-    if (++p == interval_) p = 0;
+    ++c;
+    p = q + 1 == interval_ ? 0 : q + 1;
   }
   reported_t_ = last;
+}
+
+std::uint32_t Scheduler::next_lane(std::uint32_t p) const {
+  const auto words = static_cast<std::uint32_t>(lane_bits_.size());
+  std::uint32_t w = p >> 6;
+  std::uint64_t bits = lane_bits_[w] & (~0ull << (p & 63u));
+  while (bits == 0) {
+    w = w + 1 == words ? 0 : w + 1;
+    bits = lane_bits_[w];
+  }
+  return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
 }
 
 bool Scheduler::stop(Cycle limit) {

@@ -438,6 +438,9 @@ class Scheduler {
   /// Tell the obs sampler about every quiet cycle in (reported_t_, last];
   /// `p` is the phase of reported_t_ + 1.
   void report_quiet(Cycle last, std::uint32_t p);
+  /// The first non-empty lane at or (circularly) after phase `p`.
+  /// Requires laned_ > 0.
+  std::uint32_t next_lane(std::uint32_t p) const;
   /// run()'s early return at `limit` with events pending: settle and flush
   /// every lane through the limit.
   bool stop(Cycle limit);
