@@ -54,6 +54,15 @@ class Recorder {
     sample_countdown_ -= static_cast<std::uint32_t>(n);
   }
 
+  /// Events the sampler countdown has left: a batch of this many or more
+  /// takes a sample.
+  std::uint64_t events_to_sample() const { return sample_countdown_; }
+  /// `batches` batches of `n` events in all, fewer than
+  /// events_to_sample(): what as many on_batch() calls would do.
+  void on_batches(std::uint64_t batches, std::uint64_t n) {
+    batches_ += batches;
+    sample_countdown_ -= static_cast<std::uint32_t>(n);
+  }
   /// on_batch() calls so far: one per cycle that dispatched an event.
   std::uint64_t batches() const { return batches_; }
 

@@ -274,18 +274,33 @@ std::uint64_t Scheduler::seq_at_quiet(Cycle c, std::uint32_t pc,
 }
 
 void Scheduler::report_quiet(Cycle last, std::uint32_t p) {
-  // Jump from one non-empty phase to the next: the cost is one step per
-  // quiet lane cycle, not one per cycle.
+  // Jump from one non-empty phase to the next: one step per quiet lane
+  // cycle, not one per cycle. Batches that take no sample are reported in
+  // bulk; the one that takes a sample is reported at its own cycle.
+  std::uint64_t room = obs_->events_to_sample();
+  std::uint64_t batches = 0;
+  std::uint64_t events = 0;
   for (Cycle c = reported_t_ + 1; c <= last;) {
     const std::uint32_t q = next_lane(p);
     const Cycle step = q >= p ? q - p : q + interval_ - p;
     if (step > last - c) break;
     c += step;
-    obs_->on_batch(c, lanes_[q].entries.size());
+    const std::uint64_t n = lanes_[q].entries.size();
+    if (events + n >= room) {
+      obs_->on_batches(batches, events);
+      obs_->on_batch(c, n);
+      room = obs_->events_to_sample();
+      batches = 0;
+      events = 0;
+    } else {
+      ++batches;
+      events += n;
+    }
     if (c == last) break;
     ++c;
     p = q + 1 == interval_ ? 0 : q + 1;
   }
+  obs_->on_batches(batches, events);
   reported_t_ = last;
 }
 

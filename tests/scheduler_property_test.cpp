@@ -257,7 +257,6 @@ class LaneParkScheduler {
   std::size_t pending() const { return s_.pending(); }
   std::uint64_t events_processed() const { return s_.events_processed(); }
   std::uint64_t parked_wakes() const { return s_.parked_wakes(); }
-  const Scheduler& scheduler() const { return s_; }
 
   void set_handler(int r, std::function<void()> fn) {
     recs_[r]->fn = std::move(fn);
@@ -318,7 +317,7 @@ ParkRun drive_parked(std::uint64_t seed, Cycle interval) {
   ParkRun out;
   sim::ObsParams op;
   op.metrics = true;
-  Scheduler clock;
+  Scheduler clock;  // only the batch and sampler hooks are used
   obs::Recorder obs(op, 1, clock);
   obs.set_sampler([&out](obs::Metrics&, Cycle t) { out.samples.push_back(t); });
   Sched s(interval, kRecs, &obs);
@@ -403,7 +402,6 @@ ParkRun drive_parked(std::uint64_t seed, Cycle interval) {
 }
 
 TEST(SchedulerParkPropertyTest, LanesMatchAReferenceThatReArmsEveryWake) {
-  std::uint64_t lane_buckets = 0;
   for (Cycle interval : {Cycle{1}, Cycle{3}, Cycle{20}, Cycle{97},
                          Cycle{Scheduler::kWheelSize + 5}}) {
     for (std::uint64_t seed : {0x1ull, 0xdeadbeefull, 0x0123456789abcdefull}) {
@@ -427,10 +425,8 @@ TEST(SchedulerParkPropertyTest, LanesMatchAReferenceThatReArmsEveryWake) {
       }
       EXPECT_EQ(got.samples, want.samples);
       EXPECT_FALSE(want.samples.empty());
-      lane_buckets += want.runs.back().obs_batches;
     }
   }
-  EXPECT_GT(lane_buckets, 0u);
 }
 
 TEST(SchedulerPropertyTest, SchedulingIntoPastThrows) {
