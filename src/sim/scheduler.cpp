@@ -81,7 +81,7 @@ bool Scheduler::run(Cycle limit) {
     if (laned_ != 0) {
       const std::uint32_t p = phase(now_);
       drain_seq_[p] = DrainSeq{now_, seq_, runs_};
-      if (obs_ != nullptr || lane_nonempty(p)) {
+      if (lane_nonempty(p) || (obs_ != nullptr && now_ > reported_t_ + 1)) {
         open_lane(p);
         if (merge_ != kNoLane && merge_pos_ == 0) {
           n = merge_drain(idx, n, nodes, lane_wakes);
@@ -287,7 +287,7 @@ void Scheduler::report_quiet(Cycle last, std::uint32_t p) {
     c += step;
     const std::uint64_t n = lanes_[q].entries.size();
     if (events + n >= room) {
-      obs_->on_batches(batches, events);
+      if (batches != 0) obs_->on_batches(batches, events);
       obs_->on_batch(c, n);
       room = obs_->events_to_sample();
       batches = 0;
@@ -300,7 +300,7 @@ void Scheduler::report_quiet(Cycle last, std::uint32_t p) {
     ++c;
     p = q + 1 == interval_ ? 0 : q + 1;
   }
-  obs_->on_batches(batches, events);
+  if (batches != 0) obs_->on_batches(batches, events);
   reported_t_ = last;
 }
 
