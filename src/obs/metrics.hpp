@@ -1,5 +1,6 @@
 // Uniform metrics registry: fixed-id counters, log2-bucket histograms and
-// event-sampled time series filled by the instrumentation hooks, plus
+// occupancy time series sampled on a simulated-cycle grid (see
+// obs::Recorder::on_cycle), filled by the instrumentation hooks, plus
 // MetricsSnapshot -- the harvested, value-comparable form that RunResult
 // carries and runner::BenchReport flattens into BENCH_*.json.
 //

@@ -21,6 +21,12 @@ Recorder::Recorder(const sim::ObsParams& params, std::uint32_t num_cores,
     : trace_on_(params.trace), trace_mem_(params.trace_mem), clock_(clock),
       tracer_(params.max_trace_events), cores_(num_cores) {}
 
+void Recorder::sample_through(Cycle t) {
+  for (; next_sample_ <= t; next_sample_ += kSamplePeriodCycles) {
+    if (sampler_) sampler_(metrics_, next_sample_);
+  }
+}
+
 void Recorder::close_stall(CoreId c, Cycle t) {
   CoreSpans& s = cores_[c];
   s.stall_open = false;

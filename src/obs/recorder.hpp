@@ -1,9 +1,10 @@
 // Recorder: the per-Simulator observability hub every SUVTM_OBS_HOOK calls
 // into. Owns one Tracer and one Metrics registry, reads its domain
 // scheduler's clock (structures like the conflict manager and the redirect
-// table have no clock of their own), and drives the periodic occupancy
-// sampler. One Recorder per Simulator keeps parallel experiment runs fully
-// isolated, which is what makes traces submission-order deterministic.
+// table have no clock of their own), and samples the occupancy gauges on a
+// grid of simulated cycles. One Recorder per Simulator keeps parallel
+// experiment runs fully isolated, which is what makes traces
+// submission-order deterministic.
 #pragma once
 
 #include <cstdint>
@@ -36,35 +37,24 @@ class Recorder {
   const TraceData& trace() const { return tracer_.data(); }
   TraceData take_trace() { return tracer_.take(); }
 
-  /// Gauge sampler, invoked every kSampleIntervalEvents scheduler events.
-  /// Installed by the Simulator (it knows which structures exist).
+  /// The occupancy grid: gauges are sampled at every multiple of this many
+  /// simulated cycles.
+  static constexpr Cycle kSamplePeriodCycles = 8192;
+
+  /// Gauge sampler, invoked once per grid cycle with that cycle. Installed
+  /// by the Simulator (it knows which structures exist).
   using Sampler = std::function<void(Metrics&, Cycle)>;
   void set_sampler(Sampler s) { sampler_ = std::move(s); }
 
   // ---- sim/scheduler ------------------------------------------------------
-  /// One call per drained bucket of cycle `t`: pays the sampler countdown
-  /// `n` events at a time.
-  void on_batch(Cycle t, std::uint64_t n) {
-    ++batches_;
-    while (n >= sample_countdown_) {
-      n -= sample_countdown_;
-      sample_countdown_ = kSampleIntervalEvents;
-      if (sampler_) sampler_(metrics_, t);
-    }
-    sample_countdown_ -= static_cast<std::uint32_t>(n);
+  /// Cycle `t` is about to dispatch (one call per drained cycle, in time
+  /// order): take one sample for each grid cycle passed since the last
+  /// call, stamped with that grid cycle. State changes only while a cycle
+  /// dispatches, so in a serial run each sample is exactly the state at
+  /// the start of its grid cycle.
+  void on_cycle(Cycle t) {
+    if (t >= next_sample_) [[unlikely]] sample_through(t);
   }
-
-  /// Events the sampler countdown has left: a batch of this many or more
-  /// takes a sample.
-  std::uint64_t events_to_sample() const { return sample_countdown_; }
-  /// `batches` batches of `n` events in all, fewer than
-  /// events_to_sample(): what as many on_batch() calls would do.
-  void on_batches(std::uint64_t batches, std::uint64_t n) {
-    batches_ += batches;
-    sample_countdown_ -= static_cast<std::uint32_t>(n);
-  }
-  /// on_batch() calls so far: one per cycle that dispatched an event.
-  std::uint64_t batches() const { return batches_; }
 
   // ---- sim/thread_context: txn lifecycle ----------------------------------
   void on_txn_begin(CoreId c, Cycle t, std::uint32_t site,
@@ -120,6 +110,7 @@ class Recorder {
     if (trace_on_) tracer_.emit(e);
   }
   void close_stall(CoreId c, Cycle t);
+  void sample_through(Cycle t);
 
   /// Per-core open-span state; spans are emitted on close so the event log
   /// stays append-only.
@@ -135,13 +126,9 @@ class Recorder {
     bool stall_open = false;
   };
 
-  /// Occupancy gauges are sampled every this many scheduler events.
-  static constexpr std::uint32_t kSampleIntervalEvents = 8192;
-
   bool trace_on_ = false;
   bool trace_mem_ = false;
-  std::uint32_t sample_countdown_ = kSampleIntervalEvents;
-  std::uint64_t batches_ = 0;
+  Cycle next_sample_ = kSamplePeriodCycles;  // the next grid cycle
   const sim::Scheduler& clock_;
   Tracer tracer_;
   Metrics metrics_;

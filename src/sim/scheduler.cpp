@@ -1,7 +1,6 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <string>
 #include <utility>
@@ -30,7 +29,6 @@ void Scheduler::set_park_interval(Cycle interval) {
   if (interval_ != 0) return;
   interval_ = interval;
   lanes_.resize(interval);
-  lane_bits_.resize((interval + 63) / 64);
   drain_seq_.resize(interval, DrainSeq{0, 0, 0});
 }
 
@@ -75,17 +73,15 @@ bool Scheduler::run(Cycle limit) {
     // heap's tie-break). Callbacks may grow other buckets/overflow freely;
     // this bucket only grows behind the running node.
     now_ = scan_t_;
+    if (obs_ != nullptr) obs_->on_cycle(now_);
     std::uint64_t nodes = 0;
-    std::uint64_t lane_wakes = 0;
     std::uint32_t n = wheel_[idx].head;
     if (laned_ != 0) {
       const std::uint32_t p = phase(now_);
       drain_seq_[p] = DrainSeq{now_, seq_, runs_};
-      if (lane_nonempty(p) || (obs_ != nullptr && now_ > reported_t_ + 1)) {
+      if (!lanes_[p].entries.empty()) {
         open_lane(p);
-        if (merge_ != kNoLane && merge_pos_ == 0) {
-          n = merge_drain(idx, n, nodes, lane_wakes);
-        }
+        if (merge_pos_ == 0) n = merge_drain(idx, n, nodes);
       }
     }
     for (; n != kNil; ++nodes) n = dispatch_head(idx, n);
@@ -94,10 +90,6 @@ bool Scheduler::run(Cycle limit) {
     events_ += nodes;
     pending_ -= nodes;
     window_count_ -= nodes;
-    if (obs_ != nullptr) {
-      reported_t_ = std::max(reported_t_, now_);
-      obs_->on_batch(now_, nodes + lane_wakes);
-    }
     ++scan_t_;
   }
   // Only parked wakes left: nothing real happens before the limit.
@@ -106,16 +98,7 @@ bool Scheduler::run(Cycle limit) {
 }
 
 void Scheduler::open_lane(std::uint32_t p) {
-  if (obs_ != nullptr && now_ > reported_t_ + 1) {
-    // Step back from now_'s phase to the first unreported cycle's.
-    const Cycle back = now_ - reported_t_ - 1;
-    const auto b =
-        static_cast<std::uint32_t>(back < interval_ ? back : back % interval_);
-    report_quiet(now_ - 1, p >= b ? p - b
-                                  : p + static_cast<std::uint32_t>(interval_) - b);
-  }
   Lane& l = lanes_[p];
-  if (l.entries.empty()) return;
   merge_ = p;
   rank_ = 0;
   if (l.due <= now_) {
@@ -131,8 +114,7 @@ void Scheduler::open_lane(std::uint32_t p) {
 }
 
 std::uint32_t Scheduler::merge_drain(std::uint32_t idx, std::uint32_t n,
-                                     std::uint64_t& nodes,
-                                     std::uint64_t& lane_wakes) {
+                                     std::uint64_t& nodes) {
   for (;;) {
     // Lane entries whose keys come first are dispatched virtually:
     // re-keyed as the re-link of a skipped wake would be, and counted when
@@ -141,7 +123,6 @@ std::uint32_t Scheduler::merge_drain(std::uint32_t idx, std::uint32_t n,
     while (merge_pos_ < es.size() &&
            (n == kNil || es[merge_pos_].key < nodes_[n].key)) {
       es[merge_pos_++].key = (seq_ << kRankBits) | ++rank_;
-      ++lane_wakes;
     }
     if (merge_pos_ == es.size() || n == kNil) return n;
     n = dispatch_head(idx, n);
@@ -171,7 +152,6 @@ void Scheduler::join_lane(Wakeable& w, bool pushed) {
   es.insert(es.begin() + static_cast<std::ptrdiff_t>(merge_pos_),
             LaneEntry{&w, key, now_ + interval_});
   ++merge_pos_;
-  lane_bits_[merge_ >> 6] |= 1ull << (merge_ & 63u);
   w.park.laned_in_ = this;
   w.park.lane_ = merge_;
   ++laned_;
@@ -225,9 +205,6 @@ void Scheduler::unlane(Park& p) {
   }
   LaneEntry e = l.entries[i];
   l.entries.erase(l.entries.begin() + static_cast<std::ptrdiff_t>(i));
-  if (l.entries.empty()) {
-    lane_bits_[p.lane_ >> 6] &= ~(1ull << (p.lane_ & 63u));
-  }
   p.laned_in_ = nullptr;
   count_skipped(e, wake);
   --laned_;
@@ -273,54 +250,8 @@ std::uint64_t Scheduler::seq_at_quiet(Cycle c, std::uint32_t pc,
   return seq_;
 }
 
-void Scheduler::report_quiet(Cycle last, std::uint32_t p) {
-  // Jump from one non-empty phase to the next: one step per quiet lane
-  // cycle, not one per cycle. Batches that take no sample are reported in
-  // bulk; the one that takes a sample is reported at its own cycle.
-  std::uint64_t room = obs_->events_to_sample();
-  std::uint64_t batches = 0;
-  std::uint64_t events = 0;
-  for (Cycle c = reported_t_ + 1; c <= last;) {
-    const std::uint32_t q = next_lane(p);
-    const Cycle step = q >= p ? q - p : q + interval_ - p;
-    if (step > last - c) break;
-    c += step;
-    const std::uint64_t n = lanes_[q].entries.size();
-    if (events + n >= room) {
-      if (batches != 0) obs_->on_batches(batches, events);
-      obs_->on_batch(c, n);
-      room = obs_->events_to_sample();
-      batches = 0;
-      events = 0;
-    } else {
-      ++batches;
-      events += n;
-    }
-    if (c == last) break;
-    ++c;
-    p = q + 1 == interval_ ? 0 : q + 1;
-  }
-  if (batches != 0) obs_->on_batches(batches, events);
-  reported_t_ = last;
-}
-
-std::uint32_t Scheduler::next_lane(std::uint32_t p) const {
-  const auto words = static_cast<std::uint32_t>(lane_bits_.size());
-  std::uint32_t w = p >> 6;
-  std::uint64_t bits = lane_bits_[w] & (~0ull << (p & 63u));
-  while (bits == 0) {
-    w = w + 1 == words ? 0 : w + 1;
-    bits = lane_bits_[w];
-  }
-  return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
-}
-
 bool Scheduler::stop(Cycle limit) {
   if (laned_ != 0) {
-    if (obs_ != nullptr && limit > reported_t_) {
-      report_quiet(limit,
-                   static_cast<std::uint32_t>((reported_t_ + 1) % interval_));
-    }
     for (std::uint32_t p = 0; p < interval_; ++p) {
       Lane& l = lanes_[p];
       if (l.entries.empty()) continue;

@@ -55,14 +55,14 @@
 // scheduler's seq would: a wake dispatched after push s and before push
 // s + 1 sorts between them, and wakes dispatched between the same two
 // pushes keep their dispatch order. Counts (events_processed(),
-// parked_wakes(), Park::skipped(), pending()), now() after run(limit) and
-// the obs sampler's batches come out as if every quiet cycle had been
-// drained: lanes are settled through the limit when run() returns, and the
-// sampler is told about every quiet cycle in order.
+// parked_wakes(), Park::skipped(), pending()) and now() after run(limit)
+// come out as if every quiet cycle had been drained: lanes are settled
+// through the limit when run() returns.
 //
 // run() dispatches per *bucket*, not per event: `now_` advances once per
-// simulated cycle, and the observability sampler countdown is one batched
-// call per non-empty cycle instead of one per event.
+// simulated cycle. With obs on, each drained cycle is announced to the
+// recorder before it dispatches (obs::Recorder::on_cycle); the recorder
+// alone decides when to sample occupancy, on its simulated-cycle grid.
 #pragma once
 
 #include <bit>
@@ -216,8 +216,8 @@ class Scheduler {
   /// (counted in events_processed() too). Host diagnostics only.
   std::uint64_t parked_wakes() const { return parked_wakes_; }
 
-  /// Observability: the run loop drives the recorder's periodic occupancy
-  /// sampler (nullptr = off). The recorder reads now() itself.
+  /// Observability: run() tells the recorder each cycle it drains, before
+  /// dispatching it (nullptr = off). The recorder reads now() itself.
   void set_obs(obs::Recorder* r) { obs_ = r; }
 
   // ---- introspection for tests and diagnostics -----------------------------
@@ -398,17 +398,15 @@ class Scheduler {
     wheel_[idx].head = next;
     return next;
   }
-  bool lane_nonempty(std::uint32_t p) const {
-    return (lane_bits_[p >> 6] >> (p & 63u)) & 1u;
-  }
-  /// Set up the drain of cycle now_ (phase `p`) while records are laned:
-  /// report the quiet cycles before it to obs, and settle lane `p`.
+  /// Set up the drain of cycle now_ (phase `p`, whose lane is non-empty):
+  /// settle lane `p`.
   void open_lane(std::uint32_t p);
   /// Drain bucket `idx` from node `n` while its lane still has wakes due
   /// now: the lane's entries and the nodes go in key order. Returns the
-  /// first node left once no lane wake is due; counts into the batch.
+  /// first node left once no lane wake is due; counts the nodes it
+  /// dispatched into `nodes`.
   std::uint32_t merge_drain(std::uint32_t idx, std::uint32_t n,
-                            std::uint64_t& nodes, std::uint64_t& lane_wakes);
+                            std::uint64_t& nodes);
   /// The drain of now_ is done: fix its lane's next wake.
   void close_lane();
   /// Record `w` in the lane of now_'s phase, behind the wakes already
@@ -435,12 +433,6 @@ class Scheduler {
   /// The seq in force at quiet cycle `c` (phase `pc`) of this run(), with
   /// no drain after `end`.
   std::uint64_t seq_at_quiet(Cycle c, std::uint32_t pc, Cycle end) const;
-  /// Tell the obs sampler about every quiet cycle in (reported_t_, last];
-  /// `p` is the phase of reported_t_ + 1.
-  void report_quiet(Cycle last, std::uint32_t p);
-  /// The first non-empty lane at or (circularly) after phase `p`.
-  /// Requires laned_ > 0.
-  std::uint32_t next_lane(std::uint32_t p) const;
   /// run()'s early return at `limit` with events pending: settle and flush
   /// every lane through the limit.
   bool stop(Cycle limit);
@@ -552,7 +544,6 @@ class Scheduler {
   // ---- parked lanes ----------------------------------------------------------
   Cycle interval_ = 0;
   std::vector<Lane> lanes_;       // one per phase
-  std::vector<std::uint64_t> lane_bits_;  // bit p set iff lane p non-empty
   std::size_t laned_ = 0;         // records waiting in lanes
   bool in_run_ = false;
   std::uint32_t merge_ = kNoLane;  // lane of the bucket being drained
@@ -562,7 +553,6 @@ class Scheduler {
   std::uint64_t runs_ = 0;        // run() calls so far
   Cycle phase_t_ = 0;             // phase() cache: a cycle and its phase
   std::uint32_t phase_ = 0;
-  Cycle reported_t_ = 0;          // quiet cycles <= this reached obs
 };
 
 inline void Park::unpark() {

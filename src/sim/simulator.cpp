@@ -24,8 +24,10 @@ void Simulator::build_domain(Domain& d, CoreRange cores) {
     d.htm->set_obs(d.recorder.get());
     d.mem->set_obs(d.recorder.get());
 
-    // Occupancy gauges, sampled every obs::Recorder::kSampleIntervalEvents
-    // scheduler events. Everything read here is this domain's own
+    // Occupancy gauges, sampled at every multiple of
+    // obs::Recorder::kSamplePeriodCycles simulated cycles (the recorder
+    // takes a grid cycle's sample when this domain's scheduler first drains
+    // a cycle at or past it). Everything read here is this domain's own
     // deterministic state, so the series are reproducible across host job
     // and shard-thread counts.
     vm::SuvVm* suvvm = suv_backend(d.htm->vm());

@@ -14,8 +14,10 @@
 // events and every metrics scalar, histogram and series (the occupancy
 // samples included) of bayes under SUV-TM and LogTM-SE at scale 0.05 and
 // of the 64-core 4-shard ShardedKv point with trace_mem on. Samples carry
-// the cycle of the scheduler batch that fired them, so this constant also
-// pins which batches the scheduler reports to the sampler.
+// their grid cycle (every multiple of obs::Recorder::kSamplePeriodCycles)
+// and the gauges as the first drained cycle at or past it found them, so
+// this constant also pins which cycles the scheduler announces to the
+// recorder.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -31,7 +33,7 @@ namespace suvtm {
 namespace {
 
 constexpr std::uint64_t kGolden = 0xba743371c1a75a91ull;
-constexpr std::uint64_t kObsGolden = 0xb622d858db89a716ull;
+constexpr std::uint64_t kObsGolden = 0xf6dc0a6cb765f6c5ull;
 
 /// FNV-1a over padding-free stats blocks.
 class Fold {

@@ -1,17 +1,21 @@
 // Tests for the observability layer (src/obs) and the shared bench/example
-// plumbing: metrics snapshot/merge semantics, the trace cap, byte-identical
-// trace export across host job counts, a golden abort-edge check on a
-// forced two-core conflict, stall counts and spans pinned across parked
-// retries, scheme-string round-trips and the shared Cli parser.
+// plumbing: metrics snapshot/merge semantics, the occupancy sampler's
+// simulated-cycle grid, the trace cap, byte-identical trace export across
+// host job counts, a golden abort-edge check on a forced two-core conflict,
+// stall counts and spans pinned across parked retries, scheme-string
+// round-trips and the shared Cli parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "runner/cli.hpp"
 #include "runner/experiment.hpp"
@@ -62,6 +66,55 @@ TEST(MetricsSnapshotTest, SnapshotSkipsZeroCounters) {
   obs::Metrics m;
   const obs::MetricsSnapshot s = obs::snapshot(m);
   EXPECT_TRUE(s.empty());
+}
+
+// ---- occupancy grid --------------------------------------------------------
+
+// The first drained cycle at or past a grid cycle takes that grid cycle's
+// sample, one per grid cycle passed, reading the gauges as they stand when
+// the cycle is announced (before it dispatches).
+TEST(OccupancyGridTest, OneSamplePerGridCyclePassedReadAtTheCall) {
+  constexpr Cycle P = obs::Recorder::kSamplePeriodCycles;
+  sim::ObsParams op;
+  op.metrics = true;
+  const sim::Scheduler clock;
+  obs::Recorder rec(op, 1, clock);
+  std::uint64_t gauge = 0;
+  rec.set_sampler([&gauge](obs::Metrics& m, Cycle t) {
+    m.sample(obs::Series::kPoolLines, t, gauge);
+  });
+  const std::pair<Cycle, std::uint64_t> calls[] = {
+      {0, 1}, {P - 1, 2}, {P, 3}, {3 * P + 5, 4}};
+  for (const auto& [t, v] : calls) {
+    gauge = v;
+    rec.on_cycle(t);
+  }
+  const std::vector<obs::SeriesPoint> want = {{P, 3}, {2 * P, 4}, {3 * P, 4}};
+  EXPECT_EQ(rec.metrics().series(obs::Series::kPoolLines), want);
+}
+
+// Every series point of a completed serial run sits on the grid: one point
+// at k * P for each k = 1..floor(makespan / P), however the scheduler
+// skipped the cycles between them.
+TEST(OccupancyGridTest, BayesSeriesPointsSitOnTheGrid) {
+  constexpr Cycle P = obs::Recorder::kSamplePeriodCycles;
+  sim::SimConfig cfg;
+  cfg.scheme = sim::Scheme::kSuv;
+  cfg.obs.metrics = true;
+  stamp::SuiteParams params;
+  params.scale = 0.05;
+  const runner::RunResult r =
+      runner::run_app(stamp::AppId::kBayes, cfg, params);
+  ASSERT_GE(r.makespan, 2 * P) << "the run must pass several grid cycles";
+  ASSERT_EQ(r.metrics.series.size(),
+            static_cast<std::size_t>(obs::Series::kCount));
+  for (const obs::SeriesSnapshot& s : r.metrics.series) {
+    SCOPED_TRACE(s.name);
+    ASSERT_EQ(s.points.size(), r.makespan / P);
+    for (std::size_t k = 0; k < s.points.size(); ++k) {
+      EXPECT_EQ(s.points[k].t, (k + 1) * P) << "point " << k;
+    }
+  }
 }
 
 // ---- tracer ----------------------------------------------------------------

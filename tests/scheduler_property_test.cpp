@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "obs/recorder.hpp"
-#include "sim/config.hpp"
 #include "sim/scheduler.hpp"
 
 namespace suvtm::sim {
@@ -159,8 +157,7 @@ TEST(SchedulerPropertyTest, TieStormPreservesFifoAcrossOverflowSpill) {
 
 /// The reference: one (cycle, seq)-ordered map, one event popped at a
 /// time. A parked record's wake does not run its handler: it counts a skip
-/// and re-arms the record `interval` cycles on with a fresh seq. The obs
-/// recorder gets one batch per run of same-cycle pops.
+/// and re-arms the record `interval` cycles on with a fresh seq.
 class ReferenceParkScheduler {
  public:
   struct Rec {
@@ -169,9 +166,8 @@ class ReferenceParkScheduler {
     std::function<void()> on_wake;
   };
 
-  ReferenceParkScheduler(Cycle interval, std::size_t records,
-                         obs::Recorder* obs)
-      : interval_(interval), recs_(records), obs_(obs) {}
+  ReferenceParkScheduler(Cycle interval, std::size_t records)
+      : interval_(interval), recs_(records) {}
 
   Cycle now() const { return now_; }
   void at(Cycle t, std::function<void()> fn) {
@@ -186,17 +182,12 @@ class ReferenceParkScheduler {
 
   bool run(Cycle limit) {
     for (;;) {
-      if (q_.empty() || q_.begin()->first.first > limit) {
-        flush();
-        return q_.empty();
-      }
+      if (q_.empty() || q_.begin()->first.first > limit) return q_.empty();
       const auto it = q_.begin();
-      if (batch_ != 0 && it->first.first != now_) flush();
       now_ = it->first.first;
       Ev ev = std::move(it->second);
       q_.erase(it);
       ++events_;
-      ++batch_;
       if (ev.rec < 0) {
         ev.fn();
       } else if (recs_[ev.rec].parked) {
@@ -218,20 +209,14 @@ class ReferenceParkScheduler {
     std::function<void()> fn;
     int rec;
   };
-  void flush() {
-    if (batch_ != 0 && obs_ != nullptr) obs_->on_batch(now_, batch_);
-    batch_ = 0;
-  }
 
   Cycle interval_;
   Cycle now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t events_ = 0;
   std::uint64_t parked_wakes_ = 0;
-  std::uint64_t batch_ = 0;
   std::multimap<std::pair<Cycle, std::uint64_t>, Ev> q_;
   std::vector<Rec> recs_;
-  obs::Recorder* obs_;
 };
 
 /// sim::Scheduler behind the reference's record interface.
@@ -242,9 +227,8 @@ class LaneParkScheduler {
     void on_wake() override { fn(); }
   };
 
-  LaneParkScheduler(Cycle interval, std::size_t records, obs::Recorder* obs) {
+  LaneParkScheduler(Cycle interval, std::size_t records) {
     s_.set_park_interval(interval);
-    s_.set_obs(obs);
     for (std::size_t i = 0; i < records; ++i) {
       recs_.push_back(std::make_unique<Rec>());
     }
@@ -293,14 +277,12 @@ struct RunState {
   std::uint64_t events;
   std::uint64_t parked_wakes;
   std::vector<std::uint64_t> skipped;
-  std::uint64_t obs_batches;
   bool operator==(const RunState&) const = default;
 };
 
 struct ParkRun {
   std::vector<std::pair<Cycle, int>> log;  // (cycle, id) of every handler
   std::vector<RunState> runs;
-  std::vector<Cycle> samples;  // obs sampler cycles
 };
 
 /// Records retry NACK-style: a real wake often parks itself and re-arms
@@ -315,12 +297,7 @@ template <class Sched>
 ParkRun drive_parked(std::uint64_t seed, Cycle interval) {
   constexpr int kRecs = 12;
   ParkRun out;
-  sim::ObsParams op;
-  op.metrics = true;
-  Scheduler clock;  // only the batch and sampler hooks are used
-  obs::Recorder obs(op, 1, clock);
-  obs.set_sampler([&out](obs::Metrics&, Cycle t) { out.samples.push_back(t); });
-  Sched s(interval, kRecs, &obs);
+  Sched s(interval, kRecs);
   std::uint64_t x = seed;
   const auto rng = [&x] {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
@@ -376,7 +353,7 @@ ParkRun drive_parked(std::uint64_t seed, Cycle interval) {
     limit += 1 + rng() % 97;
     const bool drained = s.run(limit);
     RunState st{drained, s.now(), s.pending(), s.events_processed(),
-                s.parked_wakes(), {}, obs.batches()};
+                s.parked_wakes(), {}};
     for (int r = 0; r < kRecs; ++r) st.skipped.push_back(s.skipped(r));
     out.runs.push_back(std::move(st));
     if (drained) break;
@@ -423,8 +400,6 @@ TEST(SchedulerParkPropertyTest, LanesMatchAReferenceThatReArmsEveryWake) {
             << "after run " << i << " of interval " << interval << " seed "
             << seed;
       }
-      EXPECT_EQ(got.samples, want.samples);
-      EXPECT_FALSE(want.samples.empty());
     }
   }
 }
