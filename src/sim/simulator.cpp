@@ -77,10 +77,11 @@ void check_cache(std::uint32_t bytes, std::uint32_t assoc,
 }  // namespace
 
 void SimConfig::validate() const {
-  if (mem.num_cores > 64) {
-    invalid("mem.num_cores", "must be at most 64 (conflict masks are 64-bit)");
+  if (mem.num_cores == 0 || mem.num_cores > 64) {
+    invalid("mem.num_cores", "must be in 1..64 (conflict masks are 64-bit)");
   }
   if (mem.mesh_dim == 0) invalid("mem.mesh_dim", "must be nonzero");
+  if (mem.tlb_entries == 0) invalid("mem.tlb_entries", "must be nonzero");
   check_cache(mem.l1_bytes, mem.l1_assoc, "mem.l1_assoc", "mem.l1_bytes");
   check_cache(mem.l2_bytes, mem.l2_assoc, "mem.l2_assoc", "mem.l2_bytes");
   check_pow2(htm.signature_bits, "htm.signature_bits");

@@ -310,6 +310,8 @@ TEST(SimConfigValidateTest, SimulatorRejectsEachUnmodellableField) {
   using Mutate = void (*)(sim::SimConfig&);
   const std::pair<const char*, Mutate> cases[] = {
       {"mem.num_cores", [](sim::SimConfig& c) { c.mem.num_cores = 65; }},
+      {"mem.num_cores", [](sim::SimConfig& c) { c.mem.num_cores = 0; }},
+      {"mem.tlb_entries", [](sim::SimConfig& c) { c.mem.tlb_entries = 0; }},
       {"htm.signature_bits",
        [](sim::SimConfig& c) { c.htm.signature_bits = 1000; }},
       {"suv.summary_signature_bits",
