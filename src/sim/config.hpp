@@ -103,7 +103,6 @@ struct HtmParams {
   Cycle dyntm_arbitration = 30;      // commit-token acquisition
   Cycle dyntm_publish_per_line = 21; // per write-set line publication (FasTM VM)
   Cycle dyntm_lazy_abort = 10;       // discard redo buffer
-  std::uint32_t dyntm_selector_bits = 2;
 };
 
 /// SUV parameters (paper Sections III-IV, Table III).

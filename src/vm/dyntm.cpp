@@ -8,7 +8,7 @@ namespace suvtm::vm {
 DynTm::DynTm(const sim::HtmParams& p, mem::MemorySystem& mem,
              std::unique_ptr<htm::VersionManager> inner, bool suv_backend)
     : params_(p), mem_(mem), inner_(std::move(inner)),
-      suv_backend_(suv_backend), selector_(p.dyntm_selector_bits) {}
+      suv_backend_(suv_backend) {}
 
 void DynTm::attach(htm::HtmSystem& htm) {
   htm::VersionManager::attach(htm);

@@ -29,21 +29,17 @@ namespace suvtm::vm {
 /// contended sites settle wherever their aborts are cheaper.
 class ModeSelector {
  public:
-  explicit ModeSelector(std::uint32_t bits = 2)
-      : max_(static_cast<std::uint8_t>((1u << bits) - 1)),
-        threshold_(static_cast<std::uint8_t>(1u << (bits - 1))) {}
-
   bool predict_lazy(std::uint32_t site) const {
     auto it = counters_.find(site);
-    const std::uint8_t v = it == counters_.end() ? threshold_ : it->second;
-    return v >= threshold_;
+    const std::uint8_t v = it == counters_.end() ? kThreshold : it->second;
+    return v >= kThreshold;
   }
   void record_abort(std::uint32_t site, bool was_lazy) {
     auto& v = counter(site);
     if (was_lazy) {
       if (v > 0) --v;  // lazy mode is losing work to committer-wins
     } else {
-      if (v < max_) ++v;  // eager stalls/cycles are losing: go lazy
+      if (v < kMax) ++v;  // eager stalls/cycles are losing: go lazy
     }
   }
   void record_commit(std::uint32_t site, bool /*was_lazy*/) {
@@ -56,11 +52,11 @@ class ModeSelector {
 
  private:
   std::uint8_t& counter(std::uint32_t site) {
-    auto [it, inserted] = counters_.try_emplace(site, threshold_);
+    auto [it, inserted] = counters_.try_emplace(site, kThreshold);
     return it->second;
   }
-  std::uint8_t max_;
-  std::uint8_t threshold_;
+  static constexpr std::uint8_t kMax = 3;        // 2-bit counter
+  static constexpr std::uint8_t kThreshold = 2;  // >= predicts lazy
   FlatMap<std::uint32_t, std::uint8_t> counters_;
 };
 

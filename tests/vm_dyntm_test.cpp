@@ -9,19 +9,19 @@ namespace suvtm::vm {
 namespace {
 
 TEST(ModeSelectorTest, StartsAtThresholdPredictingLazy) {
-  ModeSelector s(2);
+  ModeSelector s;
   EXPECT_TRUE(s.predict_lazy(1));
 }
 
 TEST(ModeSelectorTest, CommitsDriftTowardEager) {
-  ModeSelector s(2);
+  ModeSelector s;
   s.record_commit(1, /*was_lazy=*/true);
   s.record_commit(1, true);
   EXPECT_FALSE(s.predict_lazy(1));
 }
 
 TEST(ModeSelectorTest, EagerAbortsPushTowardLazy) {
-  ModeSelector s(2);
+  ModeSelector s;
   s.record_commit(1, false);
   s.record_commit(1, false);
   EXPECT_FALSE(s.predict_lazy(1));
@@ -31,7 +31,7 @@ TEST(ModeSelectorTest, EagerAbortsPushTowardLazy) {
 }
 
 TEST(ModeSelectorTest, LazyAbortsPushTowardEager) {
-  ModeSelector s(2);
+  ModeSelector s;
   EXPECT_TRUE(s.predict_lazy(1));
   s.record_abort(1, /*was_lazy=*/true);
   s.record_abort(1, true);
@@ -39,14 +39,14 @@ TEST(ModeSelectorTest, LazyAbortsPushTowardEager) {
 }
 
 TEST(ModeSelectorTest, CounterSaturates) {
-  ModeSelector s(2);
+  ModeSelector s;
   for (int i = 0; i < 10; ++i) s.record_abort(1, false);
   for (int i = 0; i < 3; ++i) s.record_commit(1, false);
   EXPECT_FALSE(s.predict_lazy(1));  // 3 -> 0 after three commits
 }
 
 TEST(ModeSelectorTest, SitesAreIndependent) {
-  ModeSelector s(2);
+  ModeSelector s;
   s.record_commit(1, false);
   s.record_commit(1, false);
   EXPECT_FALSE(s.predict_lazy(1));
