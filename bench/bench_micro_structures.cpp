@@ -1,4 +1,4 @@
-// The simulator's own performance gates: three A/B rows, each measured by
+// The simulator's own performance gates: four A/B rows, each measured by
 // the repository benchmark's one estimator (repobench::ab_compare:
 // interleaved ABBA rounds, reported as the median over rounds with its min
 // and max) and written to BENCH_micro_structures.json.
@@ -13,11 +13,13 @@
 //   - checker_runtime_overhead_pct: the scheme x app matrix with the
 //     correctness checker (src/check) off vs on, on process CPU time, one
 //     ABBA unit per matrix point. CI perf-smoke gates it at <= 40%.
+//   - obs_runtime_overhead_pct: the same matrix with observability (src/obs)
+//     off vs trace + metrics on, the checker off in both arms. CI
+//     perf-smoke gates it at <= 6%.
 // Each gated median has <key>_min and <key>_max beside it.
 //
-// End-to-end simulator throughput, the per-layer costs and the
-// observability overhead are measured by the repository benchmark
-// (repobench/).
+// End-to-end simulator throughput and the per-layer costs are measured by
+// the repository benchmark (repobench/).
 //
 // Usage: bench_micro_structures [--smoke]
 //   --smoke runs shorter rows (seconds, not tens of seconds) for CI and
@@ -31,6 +33,7 @@
 
 #include "bench.hpp"  // repobench's clocks and A/B estimator
 #include "check/check.hpp"
+#include "obs/trace.hpp"
 #include "runner/bench_report.hpp"
 #include "runner/cli.hpp"
 #include "runner/experiment.hpp"
@@ -246,14 +249,13 @@ bool pdes_row(runner::BenchReport& report, bool smoke) {
   return identical;
 }
 
-/// Runtime cost of the correctness checker: the 3-scheme x 8-app matrix at
-/// scale 0.25 with cfg.check.enabled off (A) vs on (B), at the default
-/// checked configuration (sampled structural audits plus always-on abort
-/// audits; the history oracle always runs). The "off" arm is the default
-/// path: every hook gated on a null Checker pointer.
-void checker_row(runner::BenchReport& report, bool smoke) {
-  report.set("check_hooks_compiled",
-             static_cast<std::uint64_t>(check::kHooksCompiled ? 1 : 0));
+/// The matrix the checker and obs rows time: 3 schemes x 8 apps on 16
+/// cores at scale 0.25 with the checker and obs off (A) vs the same points
+/// after `enable` (B), one ABBA unit per matrix point, on process CPU time.
+/// Both arms take the run's trace, as a traced harness would. Prints the
+/// row heading, naming `what`.
+repobench::AbResult matrix_ab(const char* what,
+                              void (*enable)(sim::SimConfig&), int rounds) {
   stamp::SuiteParams params;
   params.scale = 0.25;
   std::vector<runner::RunPoint> off, on;
@@ -262,27 +264,58 @@ void checker_row(runner::BenchReport& report, bool smoke) {
     sim::SimConfig cfg;
     cfg.scheme = s;
     cfg.mem.num_cores = 16;
+    cfg.check.enabled = false;
+    cfg.obs.trace = false;
+    cfg.obs.metrics = false;
+    sim::SimConfig b = cfg;
+    enable(b);
     for (stamp::AppId app : stamp::all_apps()) {
-      cfg.check.enabled = false;
       off.push_back(runner::RunPoint{app, cfg, params});
-      cfg.check.enabled = true;
-      on.push_back(runner::RunPoint{app, cfg, params});
+      on.push_back(runner::RunPoint{app, b, params});
     }
   }
   runner::run_matrix(off, 1);  // warm
   runner::run_matrix(on, 1);
   const auto run = [](const runner::RunPoint& pt) {
-    runner::run_app(pt.app, pt.cfg, pt.params);
+    obs::TraceData trace;
+    runner::run_app(pt.app, pt.cfg, pt.params, &trace);
   };
-  const int rounds = smoke ? 3 : 5;
   const repobench::AbResult r = repobench::ab_compare(
       off.size(), [&](std::size_t i) { run(off[i]); },
       [&](std::size_t i) { run(on[i]); }, rounds,
       repobench::AbClock::kProcessCpu);
-  std::printf("\nchecker: off vs on (%zu-point scheme x app matrix, 16 "
-              "cores, scale 0.25, CPU time):\n", off.size());
+  std::printf("\n%s (%zu-point scheme x app matrix, 16 cores, scale 0.25, "
+              "CPU time):\n", what, off.size());
+  return r;
+}
+
+/// Runtime cost of the correctness checker: cfg.check.enabled off (A) vs
+/// on (B), at the default checked configuration (sampled structural audits
+/// plus always-on abort audits; the history oracle always runs). The "off"
+/// arm is the default path: every hook gated on a null Checker pointer.
+void checker_row(runner::BenchReport& report, bool smoke) {
+  report.set("check_hooks_compiled",
+             static_cast<std::uint64_t>(check::kHooksCompiled ? 1 : 0));
+  const int rounds = smoke ? 3 : 5;
+  const repobench::AbResult r = matrix_ab(
+      "checker: off vs on",
+      [](sim::SimConfig& c) { c.check.enabled = true; }, rounds);
   set_row(report, "checker_runtime_overhead_pct", r, overhead_pct);
   report.set("checker_overhead_rounds", static_cast<std::uint64_t>(rounds));
+}
+
+/// Runtime cost of observability: obs off (A) vs trace + metrics on (B),
+/// with trace_mem at its default (off). The "off" arm is the default path:
+/// every hook gated on a null Recorder pointer.
+void obs_row(runner::BenchReport& report, bool smoke) {
+  const repobench::AbResult r = matrix_ab(
+      "obs: off vs trace + metrics on",
+      [](sim::SimConfig& c) {
+        c.obs.trace = true;
+        c.obs.metrics = true;
+      },
+      smoke ? 3 : 5);
+  set_row(report, "obs_runtime_overhead_pct", r, overhead_pct);
 }
 
 }  // namespace
@@ -295,6 +328,7 @@ int main(int argc, char** argv) {
   scheduler_row(report, cli.smoke);
   const bool identical = pdes_row(report, cli.smoke);
   checker_row(report, cli.smoke);
+  obs_row(report, cli.smoke);
   report.write();
   return identical ? 0 : 1;
 }
