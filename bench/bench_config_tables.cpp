@@ -2,6 +2,7 @@
 // configuration actually used by every experiment in this repository.
 #include <cstdio>
 
+#include "mem/memory_system.hpp"
 #include "runner/cli.hpp"
 #include "runner/tables.hpp"
 #include "suv/redirect_entry.hpp"
@@ -12,6 +13,8 @@ int main(int argc, char** argv) {
   // No simulation here; parse so the shared flags are uniformly accepted.
   (void)runner::Cli::parse(argc, argv);
   const sim::SimConfig cfg;  // defaults == paper Table III
+  using mem::Mesh;
+  using mem::MemorySystem;
 
   std::printf("Table III: simulated CMP configuration (defaults)\n\n");
   std::vector<std::vector<std::string>> t3;
@@ -24,24 +27,24 @@ int main(int argc, char** argv) {
   t3.push_back({"L1 cache", runner::fmt_u64(cfg.mem.l1_bytes / 1024) +
                                 " KB " + runner::fmt_u64(cfg.mem.l1_assoc) +
                                 "-way, 64B lines, " +
-                                runner::fmt_u64(cfg.mem.l1_latency) +
+                                runner::fmt_u64(MemorySystem::kL1Latency) +
                                 "-cycle"});
   t3.push_back({"L2 cache",
                 runner::fmt_u64(cfg.mem.l2_bytes / (1024 * 1024)) + " MB " +
                     runner::fmt_u64(cfg.mem.l2_assoc) + "-way, " +
-                    runner::fmt_u64(cfg.mem.l2_latency) + "-cycle"});
+                    runner::fmt_u64(MemorySystem::kL2Latency) + "-cycle"});
   // The paper's four memory banks are not modelled; the row quotes them.
-  t3.push_back({"main memory", "4 banks, " +
-                                   runner::fmt_u64(cfg.mem.memory_latency) +
-                                   "-cycle"});
-  t3.push_back({"L2 directory", "bit vector of sharers, " +
-                                    runner::fmt_u64(cfg.mem.directory_latency) +
-                                    "-cycle"});
-  t3.push_back({"interconnect", "mesh, " +
-                                    runner::fmt_u64(cfg.mem.mesh_wire_latency) +
-                                    "-cycle wire + " +
-                                    runner::fmt_u64(cfg.mem.mesh_route_latency) +
-                                    "-cycle route per hop"});
+  t3.push_back({"main memory",
+                "4 banks, " + runner::fmt_u64(MemorySystem::kMemoryLatency) +
+                    "-cycle"});
+  t3.push_back({"L2 directory",
+                "bit vector of sharers, " +
+                    runner::fmt_u64(MemorySystem::kDirectoryLatency) +
+                    "-cycle"});
+  t3.push_back({"interconnect",
+                "mesh, " + runner::fmt_u64(Mesh::kWireLatency) +
+                    "-cycle wire + " + runner::fmt_u64(Mesh::kRouteLatency) +
+                    "-cycle route per hop"});
   t3.push_back({"signatures", runner::fmt_u64(cfg.htm.signature_bits / 1024) +
                                   " Kbit Bloom filters, " +
                                   runner::fmt_u64(cfg.htm.signature_hashes) +

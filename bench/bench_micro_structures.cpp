@@ -265,8 +265,6 @@ repobench::AbResult matrix_ab(const char* what,
     cfg.scheme = s;
     cfg.mem.num_cores = 16;
     cfg.check.enabled = false;
-    cfg.obs.trace = false;
-    cfg.obs.metrics = false;
     sim::SimConfig b = cfg;
     enable(b);
     for (stamp::AppId app : stamp::all_apps()) {

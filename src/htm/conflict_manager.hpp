@@ -61,10 +61,8 @@ class ConflictManager {
   /// geometry: the bit-sliced columns below walk the same
   /// for_each_position indices as the signatures, so a column miss proves
   /// a signature miss.
-  ConflictManager(std::uint32_t num_cores,
-                  sim::ConflictPolicy policy =
-                      sim::ConflictPolicy::kRequesterStalls,
-                  std::uint32_t sig_bits = 2048, std::uint32_t sig_hashes = 4);
+  ConflictManager(std::uint32_t num_cores, sim::ConflictPolicy policy,
+                  std::uint32_t sig_bits, std::uint32_t sig_hashes);
 
   sim::ConflictPolicy policy() const { return policy_; }
 

@@ -161,8 +161,8 @@ class HtmSystem {
     Txn txn;
   };
   std::vector<Suspended> suspended_;
-  Signature suspended_reads_{2048, 2};
-  Signature suspended_writes_{2048, 2};
+  Signature suspended_reads_;
+  Signature suspended_writes_;
 };
 
 }  // namespace suvtm::htm

@@ -22,13 +22,13 @@ namespace suvtm::mem {
 
 MemorySystem::MemorySystem(const sim::MemParams& p)
     : params_(p),
-      mesh_(p.mesh_dim, p.mesh_wire_latency, p.mesh_route_latency),
+      mesh_(p.mesh_dim),
       l2_(p.l2_bytes, p.l2_assoc) {
   l1_.reserve(p.num_cores);
   tlb_.reserve(p.num_cores);
   for (std::uint32_t c = 0; c < p.num_cores; ++c) {
     l1_.emplace_back(p.l1_bytes, p.l1_assoc);
-    tlb_.emplace_back(p.tlb_entries, p.tlb_miss_latency);
+    tlb_.emplace_back(kTlbEntries);
   }
   spec_lines_.resize(p.num_cores);
 }
@@ -51,15 +51,15 @@ Cycle MemorySystem::fetch_from_l2_or_memory(LineAddr l) {
   if (Cache::Line* hit = l2_.find(l)) {
     ++stats_.l2_hits;
     l2_.touch(*hit);
-    return params_.l2_latency;
+    return kL2Latency;
   }
   ++stats_.l2_misses;
   // Fill the L2; an L2 eviction recalls any L1 copies of the victim.
   Cycle extra = 0;
   if (l2_insert_with_recall(l, CohState::kExclusive)) {
-    extra += params_.directory_latency + mesh_.average_latency();
+    extra += kDirectoryLatency + mesh_.average_latency();
   }
-  return params_.l2_latency + params_.memory_latency + extra;
+  return kL2Latency + kMemoryLatency + extra;
 }
 
 void MemorySystem::l1_eviction(CoreId core, const Cache::Victim& v) {
@@ -108,7 +108,7 @@ AccessOutcome MemorySystem::access(CoreId core, Addr a, bool is_write) {
       l1.touch(*ln);
       ++stats_.l1_hits;
       out.l1_hit = true;
-      out.latency += params_.l1_latency;
+      out.latency += kL1Latency;
       return out;
     }
   }
@@ -116,8 +116,8 @@ AccessOutcome MemorySystem::access(CoreId core, Addr a, bool is_write) {
   // Miss (or S->M upgrade): request travels to the line's home L2 bank.
   ++stats_.l1_misses;
   const std::uint32_t bank = mesh_.bank_tile(l);
-  out.latency += params_.l1_latency;  // detect the miss
-  out.latency += mesh_.latency(core, bank) + params_.directory_latency;
+  out.latency += kL1Latency;  // detect the miss
+  out.latency += mesh_.latency(core, bank) + kDirectoryLatency;
 
   // Held by pointer, not reference: the directory is an open-addressing
   // map, so any entry() / remove_core on *another* line (the L2-fill path

@@ -63,6 +63,13 @@ inline void accumulate(MemStats& a, const MemStats& b) {
 
 class MemorySystem {
  public:
+  // Fixed latencies in cycles (paper Table III).
+  static constexpr Cycle kL1Latency = 1;
+  static constexpr Cycle kL2Latency = 15;
+  static constexpr Cycle kDirectoryLatency = 6;
+  static constexpr Cycle kMemoryLatency = 150;
+  static constexpr std::uint32_t kTlbEntries = 64;  // per core
+
   explicit MemorySystem(const sim::MemParams& p);
 
   /// Timing access: moves the line into this core's L1 with load (GETS) or

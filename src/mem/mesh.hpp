@@ -11,8 +11,11 @@ namespace suvtm::mem {
 
 class Mesh {
  public:
-  Mesh(std::uint32_t dim, Cycle wire_latency, Cycle route_latency)
-      : dim_(dim), per_hop_(wire_latency + route_latency) {}
+  static constexpr Cycle kWireLatency = 2;   // per hop (Table III)
+  static constexpr Cycle kRouteLatency = 1;  // per hop (Table III)
+  static constexpr Cycle kHopLatency = kWireLatency + kRouteLatency;
+
+  explicit Mesh(std::uint32_t dim) : dim_(dim) {}
 
   std::uint32_t dim() const { return dim_; }
 
@@ -25,7 +28,7 @@ class Mesh {
 
   /// One-way message latency between two tiles.
   Cycle latency(std::uint32_t tile_a, std::uint32_t tile_b) const {
-    return per_hop_ * hops(tile_a, tile_b);
+    return kHopLatency * hops(tile_a, tile_b);
   }
 
   /// L2 bank tile for a line (address-interleaved, one bank per tile).
@@ -39,12 +42,12 @@ class Mesh {
     // Mean Manhattan distance on an n x n mesh is ~ 2*(n^2-1)/(3n).
     const double n = static_cast<double>(dim_);
     const double mean_hops = 2.0 * (n * n - 1.0) / (3.0 * n);
-    return static_cast<Cycle>(static_cast<double>(per_hop_) * mean_hops + 0.5);
+    return static_cast<Cycle>(static_cast<double>(kHopLatency) * mean_hops +
+                              0.5);
   }
 
  private:
   std::uint32_t dim_;
-  Cycle per_hop_;
 };
 
 }  // namespace suvtm::mem

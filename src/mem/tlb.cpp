@@ -2,8 +2,7 @@
 
 namespace suvtm::mem {
 
-Tlb::Tlb(std::uint32_t entries, Cycle miss_latency)
-    : entries_(entries), miss_latency_(miss_latency) {}
+Tlb::Tlb(std::uint32_t entries) : entries_(entries) {}
 
 int Tlb::find_slot(std::uint64_t page) const {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -38,7 +37,7 @@ Tlb::Access Tlb::access_slow(std::uint64_t page) {
   entries_[victim] = {page, tick_, true};
   last_page_ = page;
   last_slot_ = static_cast<std::uint32_t>(victim);
-  return {miss_latency_, last_slot_, false};
+  return {kMissLatency, last_slot_, false};
 }
 
 }  // namespace suvtm::mem

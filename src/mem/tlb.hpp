@@ -16,10 +16,12 @@ namespace suvtm::mem {
 
 class Tlb {
  public:
-  Tlb(std::uint32_t entries, Cycle miss_latency);
+  static constexpr Cycle kMissLatency = 30;  // page walk (Table III)
+
+  explicit Tlb(std::uint32_t entries);
 
   struct Access {
-    Cycle latency;       // 0 on hit, miss_latency on walk
+    Cycle latency;       // 0 on hit, kMissLatency on walk
     std::uint32_t slot;  // TLB slot now holding the page (SUV entry index)
     bool hit;
   };
@@ -59,7 +61,6 @@ class Tlb {
   Access access_slow(std::uint64_t page);
 
   std::vector<Entry> entries_;
-  Cycle miss_latency_;
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -2,8 +2,7 @@
 //
 // The hook macro follows the SUVTM_CHECK_HOOK discipline exactly: each hook
 // costs one pointer test against a Recorder* that is nullptr unless the run
-// asked for tracing or metrics (cfg.obs, defaulted from the SUVTM_TRACE /
-// SUVTM_METRICS environment variables).
+// asked for tracing or metrics (cfg.obs, off by default).
 #pragma once
 
 namespace suvtm::obs {

@@ -38,27 +38,18 @@ const char* scheme_cli_name(Scheme s);
 /// std::invalid_argument listing the valid names on an unknown one.
 Scheme scheme_from_string(std::string_view s);
 
-/// Memory-hierarchy parameters (paper Table III).
+/// Memory-hierarchy geometry (paper Table III). The fixed latencies live
+/// next to the code that charges them (mem::MemorySystem, mem::Mesh,
+/// mem::Tlb).
 struct MemParams {
   std::uint32_t num_cores = 16;        // 4x4 mesh
   std::uint32_t mesh_dim = 4;
 
   std::uint32_t l1_bytes = 32 * 1024;  // 32 KB
   std::uint32_t l1_assoc = 4;
-  Cycle l1_latency = 1;
 
   std::uint32_t l2_bytes = 8 * 1024 * 1024;  // 8 MB shared, a bank per tile
   std::uint32_t l2_assoc = 8;
-  Cycle l2_latency = 15;
-
-  Cycle directory_latency = 6;
-  Cycle memory_latency = 150;
-
-  Cycle mesh_wire_latency = 2;   // per hop
-  Cycle mesh_route_latency = 1;  // per hop
-
-  std::uint32_t tlb_entries = 64;
-  Cycle tlb_miss_latency = 30;
 };
 
 /// How a detected conflict is resolved (paper Section III).
@@ -73,70 +64,42 @@ enum class ConflictPolicy {
   kRequesterWins,
 };
 
-/// HTM-wide parameters (signatures, conflict handling, scheme cost knobs).
+/// HTM-wide parameters. The fixed retry, backoff and version-management
+/// costs live next to the code that charges them (sim::ThreadContext,
+/// vm/logtm_se.hpp, vm::FasTm, vm::DynTm).
 struct HtmParams {
   std::uint32_t signature_bits = 2048;  // 2 Kbit Bloom filters
   std::uint32_t signature_hashes = 2;
   ConflictPolicy conflict_policy = ConflictPolicy::kRequesterStalls;
 
-  Cycle stall_retry_interval = 20;   // re-issue a NACKed request
-  Cycle backoff_base = 40;           // exponential backoff after abort
-  Cycle backoff_cap = 4096;
-  Cycle checkpoint_latency = 1;      // register snapshot / restore
-
-  // LogTM-SE cost model: each first transactional store to a word performs
-  // one extra load (old value) and one store (log append); every 8th log
-  // entry opens a new log cache line.
-  Cycle log_store_extra = 2;
-  Cycle log_new_line_extra = 16;
-  // Software abort handler: trap entry plus a per-entry restore walk.
+  // Software abort handler entry (LogTM-SE, degenerated FasTM); the
+  // per-entry restore walk is vm::kAbortPerEntry.
   Cycle abort_trap_latency = 200;
-  Cycle abort_per_entry = 8;
-
-  // FasTM: first write to an L1-dirty line writes the old line back to L2.
-  Cycle fastm_writeback_extra = 21;  // dir(6) + L2(15)
-  Cycle fastm_begin_extra = 10;      // write back shared dirty data at begin
-  Cycle fastm_flash_abort = 8;       // flash-invalidate SM lines
-  Cycle fastm_flash_commit = 4;      // flash-clear SM bits
-
-  // DynTM lazy mode.
-  Cycle dyntm_arbitration = 30;      // commit-token acquisition
-  Cycle dyntm_publish_per_line = 21; // per write-set line publication (FasTM VM)
-  Cycle dyntm_lazy_abort = 10;       // discard redo buffer
 };
 
-/// SUV parameters (paper Sections III-IV, Table III).
+/// SUV parameters (paper Sections III-IV, Table III). The fixed first-level
+/// latency, summary hash count, copy and flash costs live next to the code
+/// that charges them (suv::RedirectTable, vm::SuvVm).
 struct SuvParams {
   std::uint32_t l1_table_entries = 512;   // fully associative, zero latency
-  Cycle l1_table_latency = 0;
   std::uint32_t l2_table_entries = 16384; // 8-way shared
   std::uint32_t l2_table_assoc = 8;
   Cycle l2_table_latency = 10;
   Cycle misspeculation_penalty = 100;     // wrong speculative use of original
 
   std::uint32_t summary_signature_bits = 2048;
-  std::uint32_t summary_signature_hashes = 2;
-
-  Cycle redirect_copy_latency = 1;  // in-cache line copy on (re)direction
-  Cycle flash_commit = 2;           // flip transient entries + sig update
-  Cycle flash_abort = 2;
 };
 
-/// Env-var gate for the runtime switches: set (non-empty, not "0") means
-/// enabled. Reads the variable at every call, so each default-constructed
-/// ObsParams reads SUVTM_TRACE and SUVTM_METRICS afresh.
-inline bool env_flag(const char* var) {
-  // lint: allow(wallclock-entropy): deliberate config gate -- selects
-  // which subsystems run, never a simulated value
-  const char* e = std::getenv(var);
-  return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
-}
-
-/// True when the SUVTM_CHECK environment variable asks for checking
-/// (env_flag). Read once per process so the same binary serves both the
-/// plain and the `_checked` ctest variants.
+/// True when the SUVTM_CHECK environment variable is set, non-empty and
+/// not "0". Read once per process so the same binary serves both the plain
+/// and the `_checked` ctest variants.
 inline bool check_enabled_by_env() {
-  static const bool v = env_flag("SUVTM_CHECK");
+  static const bool v = [] {
+    // lint: allow(wallclock-entropy): deliberate config gate -- selects
+    // which subsystems run, never a simulated value
+    const char* e = std::getenv("SUVTM_CHECK");
+    return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
+  }();
   return v;
 }
 
@@ -167,11 +130,11 @@ struct CheckParams {
 /// never-taken branch per hook.
 struct ObsParams {
   /// Record lifecycle spans, conflict edges and structure events for the
-  /// Chrome-trace exporter. Defaults from the SUVTM_TRACE env var.
-  bool trace = env_flag("SUVTM_TRACE");
+  /// Chrome-trace exporter.
+  bool trace = false;
   /// Fill the metrics registry and harvest a MetricsSnapshot into the
-  /// RunResult. Defaults from the SUVTM_METRICS env var.
-  bool metrics = env_flag("SUVTM_METRICS");
+  /// RunResult.
+  bool metrics = false;
   /// Also trace per-access memory events (L1 misses, directory forwards).
   /// Voluminous; off by default even when tracing.
   bool trace_mem = false;

@@ -31,30 +31,24 @@ double PdesProfile::imbalance_bound() const {
   return critical_path_s > 0.0 ? busy / critical_path_s : 0.0;
 }
 
-Cycle ShardRuntime::effective_window(const SimConfig& cfg) {
-  // Floor: one NoC hop. A remote request posted in window k is serviced at
-  // boundary k+1, i.e. at most one window after its post cycle; keeping the
-  // window at least one hop long means the boundary round-up never delivers
-  // a message faster than the mesh could physically carry it.
-  const Cycle hop = cfg.mem.mesh_wire_latency + cfg.mem.mesh_route_latency;
-  return std::max(kWindowCycles, hop);
-}
+// Floor: one NoC hop. A remote request posted in window k is serviced at
+// boundary k+1, i.e. at most one window after its post cycle; keeping the
+// window at least one hop long means the boundary round-up never delivers a
+// message faster than the mesh could physically carry it.
+static_assert(ShardRuntime::kWindowCycles >= mem::Mesh::kHopLatency);
 
 ShardRuntime::ShardRuntime(const SimConfig& cfg, const ShardMap& map,
                            std::vector<DomainPort> domains, Mailboxes& boxes,
                            Breakdown* breakdowns)
     : cfg_(cfg), map_(map), domains_(std::move(domains)), boxes_(boxes),
-      breakdowns_(breakdowns), window_(effective_window(cfg)),
-      retry_(map.shards), errors_(map.shards), window_busy_s_(map.shards),
-      claimed_(map.shards) {
+      breakdowns_(breakdowns), retry_(map.shards), errors_(map.shards),
+      window_busy_s_(map.shards), claimed_(map.shards) {
   // One-way NoC latency between shard home tiles (a shard's home tile is
   // its first core's tile): the conservative transport charge for a
   // boundary-merged message in each direction.
   const std::uint32_t S = map_.shards;
-  const std::uint32_t tiles =
-      cfg.mem.mesh_dim * cfg.mem.mesh_dim;
-  const mem::Mesh mesh(cfg.mem.mesh_dim, cfg.mem.mesh_wire_latency,
-                       cfg.mem.mesh_route_latency);
+  const std::uint32_t tiles = cfg.mem.mesh_dim * cfg.mem.mesh_dim;
+  const mem::Mesh mesh(cfg.mem.mesh_dim);
   hop_.resize(static_cast<std::size_t>(S) * S);
   for (std::uint32_t s = 0; s < S; ++s) {
     for (std::uint32_t r = 0; r < S; ++r) {
@@ -70,7 +64,7 @@ bool ShardRuntime::run(Cycle max_cycles) {
   // Windows end at cap_ at the latest: one past the last cycle the run may
   // reach, saturated so that max_cycles = ~0 does not wrap to 0.
   cap_ = max_cycles == ~Cycle{0} ? max_cycles : max_cycles + 1;
-  boundary_ = std::min<Cycle>(window_, cap_);
+  boundary_ = std::min<Cycle>(kWindowCycles, cap_);
   done_ = false;
   overran_ = false;
 
@@ -205,7 +199,8 @@ void ShardRuntime::merge_boundary() {
     overran_ = true;
     return;
   }
-  boundary_ = cap_ - boundary_ > window_ ? boundary_ + window_ : cap_;
+  boundary_ =
+      cap_ - boundary_ > kWindowCycles ? boundary_ + kWindowCycles : cap_;
 }
 
 void ShardRuntime::process_remote(std::uint32_t to, const RemoteMsg& m) {

@@ -155,7 +155,9 @@ struct PdesProfile {
 /// See shard.cpp for the merge and the timing model of remote reads.
 class ShardRuntime {
  public:
-  /// The conservative synchronization quantum before the hop floor.
+  /// The conservative synchronization quantum, at least one mesh hop
+  /// (asserted in shard.cpp) so a boundary-merged message can never be
+  /// delivered faster than one NoC hop.
   static constexpr Cycle kWindowCycles = 4096;
 
   /// `breakdowns` is the simulator's per-core breakdown array (indexed by
@@ -179,12 +181,6 @@ class ShardRuntime {
   /// The host profile of the last run().
   const PdesProfile& profile() const { return profile_; }
 
-  /// The effective synchronization quantum for `cfg`: kWindowCycles,
-  /// floored by the mesh's minimum cross-shard hop latency so a
-  /// boundary-merged message can never be delivered faster than one NoC
-  /// hop.
-  static Cycle effective_window(const SimConfig& cfg);
-
  private:
   /// The barrier's completion step: fold the window's busy times into the
   /// profile, then merge_boundary().
@@ -197,7 +193,6 @@ class ShardRuntime {
   std::vector<DomainPort> domains_;
   Mailboxes& boxes_;
   Breakdown* breakdowns_;
-  Cycle window_ = 0;
   Cycle boundary_ = 0;
   Cycle cap_ = 0;  // one past the last cycle the run may reach
   bool done_ = false;

@@ -62,10 +62,6 @@ void check_pow2(std::uint32_t v, const char* field) {
   if (!std::has_single_bit(v)) invalid(field, "must be a power of two");
 }
 
-void check_hashes(std::uint32_t v, const char* field) {
-  if (v < 1 || v > 8) invalid(field, "must be in 1..8");
-}
-
 void check_cache(std::uint32_t bytes, std::uint32_t assoc,
                  const char* assoc_field, const char* bytes_field) {
   if (assoc == 0) invalid(assoc_field, "must be nonzero");
@@ -81,19 +77,14 @@ void SimConfig::validate() const {
     invalid("mem.num_cores", "must be in 1..64 (conflict masks are 64-bit)");
   }
   if (mem.mesh_dim == 0) invalid("mem.mesh_dim", "must be nonzero");
-  if (mem.tlb_entries == 0) invalid("mem.tlb_entries", "must be nonzero");
   check_cache(mem.l1_bytes, mem.l1_assoc, "mem.l1_assoc", "mem.l1_bytes");
   check_cache(mem.l2_bytes, mem.l2_assoc, "mem.l2_assoc", "mem.l2_bytes");
   check_pow2(htm.signature_bits, "htm.signature_bits");
-  check_hashes(htm.signature_hashes, "htm.signature_hashes");
-  check_pow2(suv.summary_signature_bits, "suv.summary_signature_bits");
-  check_hashes(suv.summary_signature_hashes, "suv.summary_signature_hashes");
-  if (suv.l2_table_assoc == 0) invalid("suv.l2_table_assoc", "must be nonzero");
-  if (htm.stall_retry_interval == 0) {
-    // A zero interval re-arms a NACKed access or a lost commit arbitration
-    // in the cycle being drained, so simulated time never advances.
-    invalid("htm.stall_retry_interval", "must be nonzero");
+  if (htm.signature_hashes < 1 || htm.signature_hashes > 8) {
+    invalid("htm.signature_hashes", "must be in 1..8");
   }
+  check_pow2(suv.summary_signature_bits, "suv.summary_signature_bits");
+  if (suv.l2_table_assoc == 0) invalid("suv.l2_table_assoc", "must be nonzero");
   if (mem.num_cores % std::max<std::uint32_t>(1, pdes.shards) != 0) {
     invalid("pdes.shards",
             "must divide mem.num_cores (cores partition into equal "
@@ -130,7 +121,7 @@ Simulator::Simulator(const SimConfig& cfg) : cfg_(cfg) {
         shards > 1 ? &ports_[map_.shard_of_core(c)] : nullptr;
     // lint: allow(alloc-in-loop) -- one-time construction, not a sim path
     contexts_.push_back(std::make_unique<ThreadContext>(
-        c, cfg_, d.sched, *d.mem, *d.htm, breakdowns_[c],
+        c, d.sched, *d.mem, *d.htm, breakdowns_[c],
         cfg_.seed * 0x100001b3ull + c, d.checker.get(), d.recorder.get(),
         port));
   }

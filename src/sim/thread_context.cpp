@@ -13,15 +13,15 @@
 
 namespace suvtm::sim {
 
-ThreadContext::ThreadContext(CoreId core, const SimConfig& cfg,
-                             Scheduler& sched, mem::MemorySystem& mem,
-                             htm::HtmSystem& htm, Breakdown& breakdown,
-                             std::uint64_t rng_seed, check::Checker* checker,
-                             obs::Recorder* obs, const RemotePort* port)
-    : core_(core), cfg_(cfg), sched_(sched), mem_(mem), htm_(htm),
+ThreadContext::ThreadContext(CoreId core, Scheduler& sched,
+                             mem::MemorySystem& mem, htm::HtmSystem& htm,
+                             Breakdown& breakdown, std::uint64_t rng_seed,
+                             check::Checker* checker, obs::Recorder* obs,
+                             const RemotePort* port)
+    : core_(core), sched_(sched), mem_(mem), htm_(htm),
       txn_(&htm.txn(core)), breakdown_(breakdown), rng_(rng_seed),
       checker_(checker), obs_(obs), port_(port) {
-  sched.set_park_interval(cfg.htm.stall_retry_interval);
+  sched.set_park_interval(kStallRetryInterval);
   htm.conflicts().enable_parking(core, &park);
 }
 
@@ -51,7 +51,7 @@ void ThreadContext::settle_parked() {
   if (n == 0) return;
   htm::ConflictManager& cm = htm_.conflicts();
   cm.settle_parked(core_, n);
-  const Cycle w = n * cfg_.htm.stall_retry_interval;
+  const Cycle w = n * kStallRetryInterval;
   if (cm.park_memo(core_).requester_tx) attempt_.add_stalled(w);
   else breakdown_.add(Bucket::kNoTrans, w);
   SUVTM_OBS_HOOK(obs_, on_parked_stalls(core_, n));
@@ -168,7 +168,7 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
     return;
   }
   if (dec.action == htm::ConflictManager::Action::kStall) {
-    const Cycle w = cfg_.htm.stall_retry_interval;
+    const Cycle w = kStallRetryInterval;
     if (tx) attempt_.add_stalled(w);
     else breakdown_.add(Bucket::kNoTrans, w);
     SUVTM_OBS_HOOK(obs_, on_stall(core_, sched_.now(), dec.holder, line, w));
@@ -213,7 +213,7 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
           aw.value = *act.buffered;
           SUVTM_CHECK_HOOK(checker_,
                            on_read(core_, true, word, aw.value, sched_.now()));
-          const Cycle lat = cfg_.mem.l1_latency + act.extra;
+          const Cycle lat = mem::MemorySystem::kL1Latency + act.extra;
           attempt_.add_trans(lat);
           sched_.resume_after(lat, h);
           return;
@@ -234,7 +234,7 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
     t.redo[aw.addr] = aw.store_value;
     SUVTM_CHECK_HOOK(
         checker_, on_write(core_, true, word, aw.store_value, sched_.now()));
-    const Cycle lat = cfg_.mem.l1_latency + extra;
+    const Cycle lat = mem::MemorySystem::kL1Latency + extra;
     attempt_.add_trans(lat);
     sched_.resume_after(lat, h);
     return;
@@ -275,8 +275,8 @@ void ThreadContext::issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h) {
     t.frames.push_back({htm_.vm().nest_mark(t)});
     SUVTM_CHECK_HOOK(checker_, on_frame_push(core_));
     ++htm_.stats().nested_begins;
-    attempt_.add_trans(cfg_.htm.checkpoint_latency);
-    sched_.resume_after(cfg_.htm.checkpoint_latency, h);
+    attempt_.add_trans(kCheckpointLatency);
+    sched_.resume_after(kCheckpointLatency, h);
     return;
   }
   assert(t.state == htm::TxnState::kIdle);
@@ -292,7 +292,7 @@ void ThreadContext::issue_begin(BeginAwaiter& aw, std::coroutine_handle<> h) {
   ++htm_.stats().begins;
   SUVTM_CHECK_HOOK(checker_, on_begin(core_, sched_.now()));
   SUVTM_OBS_HOOK(obs_, on_txn_begin(core_, sched_.now(), t.site, t.attempts));
-  const Cycle cost = cfg_.htm.checkpoint_latency + htm_.vm().on_begin(t);
+  const Cycle cost = kCheckpointLatency + htm_.vm().on_begin(t);
   attempt_.add_trans(cost);
   sched_.resume_after(cost, h);
 }
@@ -316,7 +316,7 @@ void ThreadContext::issue_commit(std::coroutine_handle<> h) {
   }
   if (t.lazy && !htm_.acquire_commit_token(core_)) {
     // Commit arbitration: one lazy committer at a time.
-    const Cycle w = cfg_.htm.stall_retry_interval;
+    const Cycle w = kStallRetryInterval;
     breakdown_.add(Bucket::kCommitting, w);
     arm_wake(WakeKind::kCommitRetry, w, nullptr, h);
     return;
@@ -324,7 +324,7 @@ void ThreadContext::issue_commit(std::coroutine_handle<> h) {
   if (!htm_.vm().commit_ready(t)) {
     // Lazy committer waiting out eager owners of its write set.
     if (t.lazy) htm_.release_commit_token(core_);
-    const Cycle w = cfg_.htm.stall_retry_interval;
+    const Cycle w = kStallRetryInterval;
     breakdown_.add(Bucket::kCommitting, w);
     arm_wake(WakeKind::kCommitRetry, w, nullptr, h);
     return;
@@ -387,13 +387,13 @@ void ThreadContext::issue_compute(ComputeAwaiter& aw,
 }
 
 void ThreadContext::issue_backoff(BackoffAwaiter&, std::coroutine_handle<> h) {
+  static_assert(kBackoffCap >= kBackoffBase, "the wait range is never empty");
   guard_no_pending_abort();
   const htm::Txn& t = txn();
-  const auto& p = cfg_.htm;
   const unsigned shift =
       static_cast<unsigned>(std::min<std::uint64_t>(t.attempts, 10));
-  const Cycle ceiling = std::min<Cycle>(p.backoff_cap, p.backoff_base << shift);
-  const Cycle wait = rng_.range(p.backoff_base, std::max<Cycle>(p.backoff_base, ceiling));
+  const Cycle ceiling = std::min<Cycle>(kBackoffCap, kBackoffBase << shift);
+  const Cycle wait = rng_.range(kBackoffBase, ceiling);
   breakdown_.add(Bucket::kBackoff, wait);
   SUVTM_OBS_HOOK(obs_, on_backoff(core_, sched_.now(), wait));
   sched_.resume_after(wait, h);

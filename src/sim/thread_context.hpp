@@ -19,7 +19,7 @@
 // state is registered with the conflict manager, which parks a NACK retry
 // that provably repeats its stall; the scheduler then dispatches it in a
 // lane without calling on_wake(), and settle_parked() books the skipped
-// retries. Every core re-arms a NACK by htm.stall_retry_interval, the
+// retries. Every core re-arms a NACK by kStallRetryInterval, the
 // scheduler's one park interval.
 #pragma once
 
@@ -32,7 +32,6 @@
 #include "obs/obs.hpp"
 #include "sim/barrier.hpp"
 #include "sim/breakdown.hpp"
-#include "sim/config.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/task.hpp"
 
@@ -53,13 +52,18 @@ struct RemotePort;
 
 class ThreadContext final : private Wakeable {
  public:
+  // Fixed core-side costs in cycles.
+  static constexpr Cycle kStallRetryInterval = 20;  // re-issue a NACKed request
+  static constexpr Cycle kBackoffBase = 40;  // exponential backoff after abort
+  static constexpr Cycle kBackoffCap = 4096;
+  static constexpr Cycle kCheckpointLatency = 1;  // register snapshot / restore
+
   /// `port` is non-null only on a sharded machine (sim/shard.hpp): it lets
   /// this core route non-transactional loads of foreign-shard addresses
   /// through the window-boundary mailboxes.
-  ThreadContext(CoreId core, const SimConfig& cfg, Scheduler& sched,
-                mem::MemorySystem& mem, htm::HtmSystem& htm,
-                Breakdown& breakdown, std::uint64_t rng_seed,
-                check::Checker* checker = nullptr,
+  ThreadContext(CoreId core, Scheduler& sched, mem::MemorySystem& mem,
+                htm::HtmSystem& htm, Breakdown& breakdown,
+                std::uint64_t rng_seed, check::Checker* checker = nullptr,
                 obs::Recorder* obs = nullptr,
                 const RemotePort* port = nullptr);
   // Pending wake events hold the context's address.
@@ -238,7 +242,6 @@ class ThreadContext final : private Wakeable {
   [[noreturn]] void throw_pending_abort() const;
 
   CoreId core_;
-  const SimConfig& cfg_;
   Scheduler& sched_;
   mem::MemorySystem& mem_;
   htm::HtmSystem& htm_;

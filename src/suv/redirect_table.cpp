@@ -20,7 +20,7 @@ RedirectTable::RedirectTable(const sim::SuvParams& p, std::uint32_t num_cores,
   const std::uint32_t summaries = local.count + (observers_ > 0 ? 1 : 0);
   summary_.reserve(summaries);
   for (std::uint32_t i = 0; i < summaries; ++i) {
-    summary_.emplace_back(p.summary_signature_bits, p.summary_signature_hashes);
+    summary_.emplace_back(p.summary_signature_bits, kSummaryHashes);
   }
 }
 
@@ -114,7 +114,7 @@ RedirectTable::Lookup RedirectTable::lookup(CoreId core, LineAddr original) {
     ++stats_.l1_hits;
     auto it = t.cached.find(original);
     if (it != t.cached.end()) it->second = ++tick_;
-    out.probe = params_.l1_table_latency;
+    out.probe = kL1Latency;
     out.entry = find(original);
     assert(out.entry && "first-level table caches only live entries");
     return out;
@@ -163,7 +163,7 @@ Cycle RedirectTable::insert_transient(const RedirectEntry& e) {
   if (t.pinned.size() < params_.l1_table_entries) {
     t.pinned.insert(e.original);
     s.holders = bit(e.owner);
-    return params_.l1_table_latency;
+    return kL1Latency;
   }
   // First-level overflow: the transient entry lives in the shared table.
   ++stats_.l1_overflow_entries;
@@ -181,7 +181,7 @@ Cycle RedirectTable::pin_transient(CoreId owner, LineAddr original) {
   if (t.pinned.size() < params_.l1_table_entries) {
     t.pinned.insert(original);
     s->holders |= bit(owner);
-    return params_.l1_table_latency;
+    return kL1Latency;
   }
   s->holders &= ~bit(owner);
   ++stats_.l1_overflow_entries;

@@ -73,6 +73,11 @@ inline void accumulate(TableStats& a, const TableStats& b) {
 
 class RedirectTable {
  public:
+  /// The first-level table's probe latency (zero-latency, Table III).
+  static constexpr Cycle kL1Latency = 0;
+  /// Hash functions per summary signature.
+  static constexpr std::uint32_t kSummaryHashes = 2;
+
   /// A table for `num_cores` cores, of which `local` may own entries.
   RedirectTable(const sim::SuvParams& p, std::uint32_t num_cores,
                 CoreRange local);

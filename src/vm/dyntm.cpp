@@ -5,10 +5,9 @@
 
 namespace suvtm::vm {
 
-DynTm::DynTm(const sim::HtmParams& p, mem::MemorySystem& mem,
+DynTm::DynTm(mem::MemorySystem& mem,
              std::unique_ptr<htm::VersionManager> inner, bool suv_backend)
-    : params_(p), mem_(mem), inner_(std::move(inner)),
-      suv_backend_(suv_backend) {}
+    : mem_(mem), inner_(std::move(inner)), suv_backend_(suv_backend) {}
 
 void DynTm::attach(htm::HtmSystem& htm) {
   htm::VersionManager::attach(htm);
@@ -99,21 +98,19 @@ Cycle DynTm::commit_cost(htm::Txn& txn) {
 
   // Lazy commit: committer wins -- conflicting running transactions abort.
   doom_conflicting(txn);
-  Cycle c = params_.dyntm_arbitration;
+  Cycle c = kArbitration;
   if (suv_backend_) {
     // Writes already sit in their redirected locations: publication is the
     // SUV flash flip.
     c += inner_->commit_cost(txn);
   } else {
     // Publish the redo buffer line by line (the paper's Committing time).
-    c += params_.dyntm_publish_per_line *
-         static_cast<Cycle>(txn.write_lines.size());
+    c += kPublishPerLine * static_cast<Cycle>(txn.write_lines.size());
     // A redo buffer that outgrew the L1 pays memory traffic on top.
     if (txn.redo.size() * kWordBytes > mem_.params().l1_bytes) {
       ++dstats_.redo_overflows;
       ++stats_.data_overflows;
-      c += params_.dyntm_publish_per_line *
-           static_cast<Cycle>(txn.write_lines.size());
+      c += kPublishPerLine * static_cast<Cycle>(txn.write_lines.size());
     }
   }
   return c;
@@ -130,7 +127,7 @@ void DynTm::on_commit_done(htm::Txn& txn) {
 }
 
 Cycle DynTm::abort_cost(htm::Txn& txn) {
-  if (lazy_buffer_mode(txn)) return params_.dyntm_lazy_abort;
+  if (lazy_buffer_mode(txn)) return kLazyAbort;
   return inner_->abort_cost(txn);
 }
 

@@ -79,10 +79,16 @@ inline void accumulate(DynTmStats& a, const DynTmStats& b) {
 
 class DynTm final : public htm::VersionManager {
  public:
+  // Lazy-mode costs in cycles.
+  static constexpr Cycle kArbitration = 30;  // commit-token acquisition
+  /// Publication of one write-set line (the FasTM backend's lazy commit).
+  static constexpr Cycle kPublishPerLine = 21;
+  static constexpr Cycle kLazyAbort = 10;  // discard the redo buffer
+
   /// `inner` handles eager-mode transactions (and, when `suv_backend`, the
   /// physical store redirection of lazy ones too).
-  DynTm(const sim::HtmParams& p, mem::MemorySystem& mem,
-        std::unique_ptr<htm::VersionManager> inner, bool suv_backend);
+  DynTm(mem::MemorySystem& mem, std::unique_ptr<htm::VersionManager> inner,
+        bool suv_backend);
 
   const char* name() const override {
     return suv_backend_ ? "DynTM+SUV" : "DynTM";
@@ -127,7 +133,6 @@ class DynTm final : public htm::VersionManager {
     return txn.lazy && !suv_backend_;
   }
 
-  sim::HtmParams params_;
   mem::MemorySystem& mem_;
   std::unique_ptr<htm::VersionManager> inner_;
   bool suv_backend_;

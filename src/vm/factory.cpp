@@ -72,11 +72,11 @@ std::unique_ptr<htm::VersionManager> make_version_manager(
                                          local);
     case Scheme::kDynTm:
       return std::make_unique<vm::DynTm>(
-          cfg.htm, mem, std::make_unique<vm::FasTm>(cfg.htm, mem),
+          mem, std::make_unique<vm::FasTm>(cfg.htm, mem),
           /*suv_backend=*/false);
     case Scheme::kDynTmSuv:
       return std::make_unique<vm::DynTm>(
-          cfg.htm, mem,
+          mem,
           std::make_unique<vm::SuvVm>(cfg.suv, mem, cfg.mem.num_cores, local),
           /*suv_backend=*/true);
   }

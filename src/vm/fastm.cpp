@@ -13,7 +13,7 @@ htm::StoreAction FasTm::on_tx_store(htm::Txn& txn, Addr a) {
 
   if (txn.degenerated) {
     // LogTM-SE path: pay log maintenance for words not yet logged.
-    extra = log_undo_word(txn, a, mem_, params_, stats_, /*charge_cycles=*/true);
+    extra = log_undo_word(txn, a, mem_, stats_, /*charge_cycles=*/true);
     return {a, extra, false};
   }
 
@@ -24,14 +24,14 @@ htm::StoreAction FasTm::on_tx_store(htm::Txn& txn, Addr a) {
     const mem::Cache::Line* ln = mem_.l1(txn.core).find(line);
     if (ln && ln->state == mem::CohState::kModified && !ln->speculative) {
       ++fstats_.dirty_writebacks;
-      extra += params_.fastm_writeback_extra;
+      extra += kWritebackExtra;
     }
   }
-  log_undo_word(txn, a, mem_, params_, stats_, /*charge_cycles=*/false);
+  log_undo_word(txn, a, mem_, stats_, /*charge_cycles=*/false);
   return {a, extra, false};
 }
 
-Cycle FasTm::commit_cost(htm::Txn&) { return params_.fastm_flash_commit; }
+Cycle FasTm::commit_cost(htm::Txn&) { return kFlashCommit; }
 
 void FasTm::on_commit_done(htm::Txn& txn) {
   mem_.clear_speculative(txn.core);
@@ -40,7 +40,7 @@ void FasTm::on_commit_done(htm::Txn& txn) {
 Cycle FasTm::abort_cost(htm::Txn& txn) {
   if (!txn.degenerated) {
     ++fstats_.fast_aborts;
-    return params_.fastm_flash_abort;
+    return kFlashAbort;
   }
   // Degenerated: flash what is still in the L1, walk the software log for
   // the words stored after degeneration.
@@ -48,8 +48,7 @@ Cycle FasTm::abort_cost(htm::Txn& txn) {
   const Cycle walked =
       static_cast<Cycle>(txn.undo.size() - txn.degen_undo_mark);
   SUVTM_OBS_HOOK(obs_, on_undo_walk(walked));
-  return params_.fastm_flash_abort + params_.abort_trap_latency +
-         params_.abort_per_entry * walked;
+  return kFlashAbort + params_.abort_trap_latency + kAbortPerEntry * walked;
 }
 
 void FasTm::on_abort_done(htm::Txn& txn) {
@@ -69,8 +68,8 @@ Cycle FasTm::partial_abort(htm::Txn& txn, std::size_t mark) {
   }
   return txn.degenerated
              ? params_.abort_trap_latency / 2 +
-                   params_.abort_per_entry * static_cast<Cycle>(walked)
-             : params_.fastm_flash_abort;
+                   kAbortPerEntry * static_cast<Cycle>(walked)
+             : kFlashAbort;
 }
 
 void FasTm::on_spec_eviction(htm::Txn& txn, LineAddr) {

@@ -29,6 +29,12 @@ struct FasTmStats {
 
 class FasTm final : public htm::VersionManager {
  public:
+  // Fixed costs in cycles.
+  static constexpr Cycle kWritebackExtra = 21;  // dir(6) + L2(15)
+  static constexpr Cycle kBeginExtra = 10;  // write back shared dirty data
+  static constexpr Cycle kFlashAbort = 8;   // flash-invalidate SM lines
+  static constexpr Cycle kFlashCommit = 4;  // flash-clear SM bits
+
   FasTm(const sim::HtmParams& p, mem::MemorySystem& mem)
       : params_(p), mem_(mem) {
     loads_in_place_ = true;  // resolve_load below is the identity action
@@ -36,7 +42,7 @@ class FasTm final : public htm::VersionManager {
 
   const char* name() const override { return "FasTM"; }
 
-  Cycle on_begin(htm::Txn&) override { return params_.fastm_begin_extra; }
+  Cycle on_begin(htm::Txn&) override { return kBeginExtra; }
 
   htm::LoadAction resolve_load(CoreId, htm::Txn*, Addr a) override {
     return {a, 0, 0, std::nullopt};

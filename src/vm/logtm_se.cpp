@@ -5,18 +5,17 @@
 namespace suvtm::vm {
 
 Cycle log_undo_word(htm::Txn& txn, Addr a, mem::MemorySystem& mem,
-                    const sim::HtmParams& p, htm::VmStats& stats,
-                    bool charge_cycles) {
+                    htm::VmStats& stats, bool charge_cycles) {
   const Addr word = a & ~static_cast<Addr>(kWordBytes - 1);
   if (txn.logged_words.count(word)) return 0;
   txn.logged_words.insert(word);
   txn.undo.emplace_back(word, mem.load_word(word));
   ++stats.log_entries;
   if (!charge_cycles) return 0;
-  Cycle extra = p.log_store_extra;
+  Cycle extra = kLogStoreExtra;
   // A 64-byte log line holds eight 8-byte-old-value records; each new log
   // line costs a store-miss fill.
-  if (txn.undo.size() % kWordsPerLine == 1) extra += p.log_new_line_extra;
+  if (txn.undo.size() % kWordsPerLine == 1) extra += kLogNewLineExtra;
   return extra;
 }
 
@@ -42,14 +41,11 @@ std::size_t pop_undo_to(htm::Txn& txn, std::size_t mark,
 htm::StoreAction LogTmSe::on_tx_store(htm::Txn& txn, Addr a) {
   ++stats_.tx_stores;
   const Cycle extra =
-      log_undo_word(txn, a, mem_, params_, stats_, /*charge_cycles=*/true);
+      log_undo_word(txn, a, mem_, stats_, /*charge_cycles=*/true);
   return {a, extra, false};
 }
 
-Cycle LogTmSe::commit_cost(htm::Txn&) {
-  // Discard the log and flash-clear signatures: constant time.
-  return 4;
-}
+Cycle LogTmSe::commit_cost(htm::Txn&) { return kFlashCommit; }
 
 void LogTmSe::on_commit_done(htm::Txn& txn) {
   mem_.clear_speculative(txn.core);
@@ -60,7 +56,7 @@ Cycle LogTmSe::abort_cost(htm::Txn& txn) {
   // isolation window stays open throughout (repair pathology).
   SUVTM_OBS_HOOK(obs_, on_undo_walk(txn.undo.size()));
   return params_.abort_trap_latency +
-         params_.abort_per_entry * static_cast<Cycle>(txn.undo.size());
+         kAbortPerEntry * static_cast<Cycle>(txn.undo.size());
 }
 
 void LogTmSe::on_abort_done(htm::Txn& txn) {
@@ -72,7 +68,7 @@ Cycle LogTmSe::partial_abort(htm::Txn& txn, std::size_t mark) {
   // Walk only the innermost frame's undo entries, newest first.
   const std::size_t walked = pop_undo_to(txn, mark, mem_);
   return params_.abort_trap_latency / 2 +
-         params_.abort_per_entry * static_cast<Cycle>(walked);
+         kAbortPerEntry * static_cast<Cycle>(walked);
 }
 
 void LogTmSe::on_spec_eviction(htm::Txn&, LineAddr) {

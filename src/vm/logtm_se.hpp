@@ -15,8 +15,18 @@
 
 namespace suvtm::vm {
 
+// The cost model above, in cycles; FasTM's degenerate path shares it. The
+// abort handler's trap entry is htm.abort_trap_latency (the ablation bench
+// sweeps it); its restore walk costs kAbortPerEntry per undo entry.
+inline constexpr Cycle kLogStoreExtra = 2;     // old-value load + log store
+inline constexpr Cycle kLogNewLineExtra = 16;  // each new log line's fill
+inline constexpr Cycle kAbortPerEntry = 8;
+
 class LogTmSe final : public htm::VersionManager {
  public:
+  /// Commit discards the log and flash-clears the signatures.
+  static constexpr Cycle kFlashCommit = 4;
+
   LogTmSe(const sim::HtmParams& p, mem::MemorySystem& mem)
       : params_(p), mem_(mem) {
     loads_in_place_ = true;  // resolve_load below is the identity action
@@ -46,8 +56,7 @@ class LogTmSe final : public htm::VersionManager {
 /// cycles the log maintenance costs. Used by LogTM-SE always and by FasTM
 /// after it degenerates.
 Cycle log_undo_word(htm::Txn& txn, Addr a, mem::MemorySystem& mem,
-                    const sim::HtmParams& p, htm::VmStats& stats,
-                    bool charge_cycles);
+                    htm::VmStats& stats, bool charge_cycles);
 
 /// Shared helper: functionally restore all logged words (newest first).
 void restore_undo_log(htm::Txn& txn, mem::MemorySystem& mem);

@@ -55,7 +55,7 @@ htm::StoreAction SuvVm::on_tx_store(htm::Txn& txn, Addr a) {
       on_spec_eviction(txn, target);
     }
     suv::RedirectEntry e{line, target, suv::EntryState::kTxnRedirect, txn.core};
-    extra += table_.insert_transient(e) + params_.redirect_copy_latency;
+    extra += table_.insert_transient(e) + kRedirectCopyLatency;
     txn.redirected.push_back(line);
     ++sstats_.entries_created;
     return {with_line(target, a), extra, probe, false};
@@ -83,7 +83,7 @@ htm::StoreAction SuvVm::on_tx_store(htm::Txn& txn, Addr a) {
       }
       e->state = suv::EntryState::kTxnUnredirect;
       e->owner = txn.core;
-      extra += table_.pin_transient(txn.core, line) + params_.redirect_copy_latency;
+      extra += table_.pin_transient(txn.core, line) + kRedirectCopyLatency;
       txn.redirected.push_back(line);
       ++sstats_.entries_toggled;
       return {with_line(e->original, a), extra, probe, false};
@@ -105,7 +105,7 @@ Cycle SuvVm::overflow_flip_cost(const htm::Txn& txn) const {
 }
 
 Cycle SuvVm::commit_cost(htm::Txn& txn) {
-  Cycle c = params_.flash_commit + overflow_flip_cost(txn);
+  Cycle c = kFlashCommit + overflow_flip_cost(txn);
   if (txn.redirected.size() > table_.l1_capacity()) {
     ++sstats_.table_overflow_txns;
   }
@@ -134,7 +134,7 @@ void SuvVm::on_commit_done(htm::Txn& txn) {
 Cycle SuvVm::abort_cost(htm::Txn& txn) {
   SUVTM_OBS_HOOK(obs_, on_suv_flash(txn.core, /*commit=*/false,
                                     txn.redirected.size()));
-  return params_.flash_abort + overflow_flip_cost(txn);
+  return kFlashAbort + overflow_flip_cost(txn);
 }
 
 Cycle SuvVm::partial_abort(htm::Txn& txn, std::size_t mark) {
@@ -144,7 +144,7 @@ Cycle SuvVm::partial_abort(htm::Txn& txn, std::size_t mark) {
     discard_entry(txn.redirected.back());
     txn.redirected.pop_back();
   }
-  return params_.flash_abort;
+  return kFlashAbort;
 }
 
 void SuvVm::discard_entry(LineAddr line) {

@@ -45,6 +45,13 @@ inline void accumulate(SuvVmStats& a, const SuvVmStats& b) {
 
 class SuvVm final : public htm::VersionManager {
  public:
+  // Fixed costs in cycles.
+  /// In-cache line copy on a fresh redirect or a toggle.
+  static constexpr Cycle kRedirectCopyLatency = 1;
+  /// Flip the transient entries and update the summary signatures.
+  static constexpr Cycle kFlashCommit = 2;
+  static constexpr Cycle kFlashAbort = 2;
+
   /// A version manager for `num_cores` cores, of which the domain runs
   /// `local` (see suv::RedirectTable).
   SuvVm(const sim::SuvParams& p, mem::MemorySystem& mem,

@@ -168,7 +168,7 @@ TEST(MemorySystemTest, TlbMissChargedOnNewPage) {
   // latency difference is the first access's TLB walk.
   auto out1 = m.access(0, 0x10000, false);
   auto out2 = m.access(0, 0x10000 + 16 * kLineBytes, false);
-  EXPECT_EQ(out1.latency, out2.latency + params().tlb_miss_latency);
+  EXPECT_EQ(out1.latency, out2.latency + Tlb::kMissLatency);
 }
 
 TEST(MemorySystemTest, PoolRegionBypassesTlb) {

@@ -364,8 +364,6 @@ TEST(SchemeTableTest, FromStringRejectsUnknownNameListingValidOnes) {
 TEST(SimulatorObsTest, UntracedRunExportsNothing) {
   sim::SimConfig cfg;
   cfg.scheme = sim::Scheme::kLogTmSe;
-  cfg.obs.trace = false;
-  cfg.obs.metrics = false;
   sim::Simulator sim(cfg);
   sim.poke_word(0x100, 42);
   EXPECT_EQ(sim.read_word_resolved(0x100), 42u);
@@ -402,7 +400,7 @@ TEST(CliTest, ParsesAndStripsSharedFlags) {
 TEST(CliTest, ApplyOnlySetsFlagsNeverClears) {
   runner::Cli off;  // nothing requested
   sim::SimConfig cfg;
-  cfg.obs.trace = true;  // e.g. set by SUVTM_TRACE
+  cfg.obs.trace = true;  // e.g. set by the program
   cfg.check.enabled = true;
   off.apply(cfg);
   EXPECT_TRUE(cfg.obs.trace);

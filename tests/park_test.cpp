@@ -21,8 +21,6 @@ sim::SimConfig audited_cfg(sim::Scheme scheme) {
   cfg.scheme = scheme;
   cfg.check.enabled = true;
   cfg.check.audit_period = 1;  // every commit audits every parked core
-  cfg.obs.trace = false;
-  cfg.obs.metrics = false;
   return cfg;
 }
 

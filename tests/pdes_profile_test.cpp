@@ -21,8 +21,6 @@ sim::PdesProfile run_sharded(std::uint32_t host_threads,
   cfg.mem.num_cores = 16;
   cfg.pdes.shards = 4;
   cfg.pdes.host_threads = host_threads;
-  cfg.obs.trace = false;
-  cfg.obs.metrics = false;
   stamp::ShardedKvParams p;
   p.ops_per_thread = 64;
   sim::Simulator sim(cfg);

@@ -267,8 +267,8 @@ TEST(SimulatorTest, SuvLeavesNoTransientEntriesBehind) {
 
 // The runtime switches are the only gates: every domain carries a checker
 // exactly when check.enabled is set, and a recorder exactly when trace or
-// metrics is. All three are set explicitly so the SUVTM_CHECK /
-// SUVTM_TRACE / SUVTM_METRICS environment defaults cannot flip them.
+// metrics is. All three are set explicitly so the SUVTM_CHECK environment
+// default cannot flip the checker.
 TEST(SimulatorTest, RuntimeSwitchesAloneGateCheckerAndRecorder) {
   struct Gates {
     bool check, trace, metrics;
@@ -311,15 +311,12 @@ TEST(SimConfigValidateTest, SimulatorRejectsEachUnmodellableField) {
   const std::pair<const char*, Mutate> cases[] = {
       {"mem.num_cores", [](sim::SimConfig& c) { c.mem.num_cores = 65; }},
       {"mem.num_cores", [](sim::SimConfig& c) { c.mem.num_cores = 0; }},
-      {"mem.tlb_entries", [](sim::SimConfig& c) { c.mem.tlb_entries = 0; }},
       {"htm.signature_bits",
        [](sim::SimConfig& c) { c.htm.signature_bits = 1000; }},
       {"suv.summary_signature_bits",
        [](sim::SimConfig& c) { c.suv.summary_signature_bits = 0; }},
       {"htm.signature_hashes",
        [](sim::SimConfig& c) { c.htm.signature_hashes = 0; }},
-      {"suv.summary_signature_hashes",
-       [](sim::SimConfig& c) { c.suv.summary_signature_hashes = 9; }},
       {"mem.l1_assoc", [](sim::SimConfig& c) { c.mem.l1_assoc = 0; }},
       {"mem.l1_bytes", [](sim::SimConfig& c) { c.mem.l1_bytes = 3 * 1024; }},
       {"mem.l2_assoc", [](sim::SimConfig& c) { c.mem.l2_assoc = 0; }},
@@ -328,8 +325,6 @@ TEST(SimConfigValidateTest, SimulatorRejectsEachUnmodellableField) {
       {"suv.l2_table_assoc",
        [](sim::SimConfig& c) { c.suv.l2_table_assoc = 0; }},
       {"pdes.shards", [](sim::SimConfig& c) { c.pdes.shards = 3; }},
-      {"htm.stall_retry_interval",
-       [](sim::SimConfig& c) { c.htm.stall_retry_interval = 0; }},
   };
   for (const auto& [field, mutate] : cases) {
     SCOPED_TRACE(field);

@@ -119,13 +119,15 @@ TEST(ThreadContextTest, NackedRequesterAccumulatesStalledTime) {
   EXPECT_EQ(sim.read_word_resolved(0x3000), 42u);
 }
 
-ThreadTask backoff_prober(ThreadContext& tc, int n, std::vector<Cycle>* out) {
+// Aborts one transaction `n` times in a row, recording the backoff wait
+// after each attempt (the attempt count grows, so the ceiling doubles).
+ThreadTask backoff_prober(ThreadContext& tc, htm::HtmSystem& htm, int n,
+                          std::vector<Cycle>* out) {
   for (int i = 0; i < n; ++i) {
     co_await tc.tx_begin(1);
-    // Give the transaction a few attempts' worth of history.
-    sim::Simulator* unused = nullptr;
-    (void)unused;
-    co_await tc.tx_commit();
+    htm.doom(tc.core());
+    co_await tc.load(0x1000);  // a doomed transaction's access aborts it
+    EXPECT_TRUE(tc.take_abort());
     const Cycle before = tc.breakdown().get(Bucket::kBackoff);
     co_await tc.backoff();
     out->push_back(tc.breakdown().get(Bucket::kBackoff) - before);
@@ -133,16 +135,21 @@ ThreadTask backoff_prober(ThreadContext& tc, int n, std::vector<Cycle>* out) {
 }
 
 TEST(ThreadContextTest, BackoffIsBoundedByCap) {
-  SimConfig cfg = cfg_logtm();
-  cfg.htm.backoff_cap = 512;
-  Simulator sim(cfg);
+  // From the 7th attempt on, kBackoffBase << attempts exceeds the cap.
+  static_assert((ThreadContext::kBackoffBase << 7) >
+                ThreadContext::kBackoffCap);
+  Simulator sim(cfg_logtm());
   std::vector<Cycle> waits;
-  sim.spawn(0, backoff_prober(sim.context(0), 20, &waits));
+  sim.spawn(0, backoff_prober(sim.context(0), sim.htm(), 20, &waits));
   sim.run();
+  ASSERT_EQ(waits.size(), 20u);
+  EXPECT_EQ(sim.htm().stats().aborts, 20u);
   for (Cycle w : waits) {
-    EXPECT_GE(w, cfg.htm.backoff_base);
-    EXPECT_LE(w, cfg.htm.backoff_cap);
+    EXPECT_GE(w, ThreadContext::kBackoffBase);
+    EXPECT_LE(w, ThreadContext::kBackoffCap);
   }
+  EXPECT_GT(*std::max_element(waits.begin() + 6, waits.end()),
+            ThreadContext::kBackoffBase);
 }
 
 ThreadTask compute_only(ThreadContext& tc) {

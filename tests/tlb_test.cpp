@@ -6,10 +6,10 @@ namespace suvtm::mem {
 namespace {
 
 TEST(TlbTest, ColdMissThenHit) {
-  Tlb t(4, 30);
+  Tlb t(4);
   auto a = t.access(0x1000);
   EXPECT_FALSE(a.hit);
-  EXPECT_EQ(a.latency, 30u);
+  EXPECT_EQ(a.latency, Tlb::kMissLatency);
   auto b = t.access(0x1008);  // same page
   EXPECT_TRUE(b.hit);
   EXPECT_EQ(b.latency, 0u);
@@ -17,14 +17,14 @@ TEST(TlbTest, ColdMissThenHit) {
 }
 
 TEST(TlbTest, DistinctPagesDistinctSlots) {
-  Tlb t(4, 30);
+  Tlb t(4);
   auto a = t.access(0 * kPageBytes);
   auto b = t.access(1 * kPageBytes);
   EXPECT_NE(a.slot, b.slot);
 }
 
 TEST(TlbTest, LruReplacement) {
-  Tlb t(2, 30);
+  Tlb t(2);
   t.access(0 * kPageBytes);
   t.access(1 * kPageBytes);
   t.access(0 * kPageBytes);          // page 0 recently used
@@ -35,7 +35,7 @@ TEST(TlbTest, LruReplacement) {
 }
 
 TEST(TlbTest, FindSlotDoesNotTouch) {
-  Tlb t(2, 30);
+  Tlb t(2);
   t.access(0 * kPageBytes);
   t.access(1 * kPageBytes);
   EXPECT_GE(t.find_slot(0), 0);
@@ -46,13 +46,13 @@ TEST(TlbTest, FindSlotDoesNotTouch) {
 }
 
 TEST(TlbTest, PageAtReturnsMappedPage) {
-  Tlb t(4, 30);
+  Tlb t(4);
   auto a = t.access(5 * kPageBytes + 123);
   EXPECT_EQ(t.page_at(a.slot), 5u);
 }
 
 TEST(TlbTest, HitMissCounters) {
-  Tlb t(8, 30);
+  Tlb t(8);
   t.access(0);
   t.access(0);
   t.access(kPageBytes);

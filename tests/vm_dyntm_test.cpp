@@ -4,6 +4,7 @@
 #include "mem/memory_system.hpp"
 #include "sim/simulator.hpp"
 #include "vm/dyntm.hpp"
+#include "vm/fastm.hpp"
 
 namespace suvtm::vm {
 namespace {
@@ -127,13 +128,13 @@ TEST_F(DynTmTest, LazyCommitCostScalesWithWriteSet) {
   const Cycle ten = dyn_->commit_cost(t);
   for (int i = 10; i < 20; ++i) t.write_lines.insert(100 + i);
   const Cycle twenty = dyn_->commit_cost(t);
-  EXPECT_EQ(twenty - ten, 10 * cfg_.htm.dyntm_publish_per_line);
+  EXPECT_EQ(twenty - ten, 10 * DynTm::kPublishPerLine);
 }
 
 TEST_F(DynTmTest, LazyAbortDiscardsBufferCheaply) {
   htm::Txn& t = begin(0, true);
   t.redo[0x1000] = 77;
-  EXPECT_EQ(dyn_->abort_cost(t), cfg_.htm.dyntm_lazy_abort);
+  EXPECT_EQ(dyn_->abort_cost(t), DynTm::kLazyAbort);
   dyn_->on_abort_done(t);
   EXPECT_EQ(mem_->load_word(0x1000), 0u);  // never reached memory
 }
@@ -172,7 +173,7 @@ TEST_F(DynTmTest, CommitReadyImmediateWithoutConflicts) {
 TEST_F(DynTmTest, EagerModeDelegatesToInner) {
   htm::Txn& t = begin(0, false);
   // FasTM inner: begin cost comes from the inner scheme.
-  EXPECT_EQ(dyn_->commit_cost(t), cfg_.htm.fastm_flash_commit);
+  EXPECT_EQ(dyn_->commit_cost(t), FasTm::kFlashCommit);
 }
 
 TEST(DynTmSuvTest, LazyStoresAreRedirectedNotBuffered) {
@@ -206,7 +207,7 @@ TEST(DynTmSuvTest, LazyCommitIsFlashNotPerLine) {
   }
   // Arbitration + flash: far below DynTM's 50-line publication.
   EXPECT_LT(dyn->commit_cost(t),
-            cfg.htm.dyntm_arbitration + 50 * cfg.htm.dyntm_publish_per_line);
+            DynTm::kArbitration + 50 * DynTm::kPublishPerLine);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include "mem/memory_system.hpp"
 #include "vm/fastm.hpp"
+#include "vm/logtm_se.hpp"
 
 namespace suvtm::vm {
 namespace {
@@ -19,7 +20,7 @@ class FasTmTest : public ::testing::Test {
 };
 
 TEST_F(FasTmTest, BeginWritesBackSharedDirtyData) {
-  EXPECT_EQ(vm_.on_begin(txn_), params_.fastm_begin_extra);
+  EXPECT_EQ(vm_.on_begin(txn_), FasTm::kBeginExtra);
 }
 
 TEST_F(FasTmTest, CleanLineStoreHasNoExtraCost) {
@@ -32,7 +33,7 @@ TEST_F(FasTmTest, DirtyLineFirstWritePaysWriteback) {
   // Make the line dirty (M, non-speculative) in the L1 first.
   mem_.access(0, 0x1000, true);
   auto act = vm_.on_tx_store(txn_, 0x1000);
-  EXPECT_EQ(act.extra, params_.fastm_writeback_extra);
+  EXPECT_EQ(act.extra, FasTm::kWritebackExtra);
 }
 
 TEST_F(FasTmTest, SecondWriteToLinePaysNothing) {
@@ -45,7 +46,7 @@ TEST_F(FasTmTest, SecondWriteToLinePaysNothing) {
 
 TEST_F(FasTmTest, FastAbortIsConstant) {
   for (int i = 0; i < 50; ++i) vm_.on_tx_store(txn_, 0x1000 + 8 * i);
-  EXPECT_EQ(vm_.abort_cost(txn_), params_.fastm_flash_abort);
+  EXPECT_EQ(vm_.abort_cost(txn_), FasTm::kFlashAbort);
   EXPECT_EQ(vm_.fastm_stats().fast_aborts, 1u);
 }
 
@@ -67,15 +68,15 @@ TEST_F(FasTmTest, DegeneratedAbortWalksOnlyPostDegenerationEntries) {
   vm_.on_tx_store(txn_, 0x2008);
   vm_.on_tx_store(txn_, 0x2010);
   const Cycle cost = vm_.abort_cost(txn_);
-  EXPECT_EQ(cost, params_.fastm_flash_abort + params_.abort_trap_latency +
-                      3 * params_.abort_per_entry);
+  EXPECT_EQ(cost, FasTm::kFlashAbort + params_.abort_trap_latency +
+                      3 * kAbortPerEntry);
   EXPECT_EQ(vm_.fastm_stats().slow_aborts, 1u);
 }
 
 TEST_F(FasTmTest, DegeneratedStoresPayLogCosts) {
   vm_.on_spec_eviction(txn_, 5);
   auto act = vm_.on_tx_store(txn_, 0x3000);
-  EXPECT_GE(act.extra, params_.log_store_extra);
+  EXPECT_GE(act.extra, kLogStoreExtra);
 }
 
 TEST_F(FasTmTest, AbortRestoresAllValuesEvenAfterDegeneration) {
@@ -108,7 +109,7 @@ TEST_F(FasTmTest, CommitClearsSpeculativeBitsKeepsLines) {
 }
 
 TEST_F(FasTmTest, CommitCostConstant) {
-  EXPECT_EQ(vm_.commit_cost(txn_), params_.fastm_flash_commit);
+  EXPECT_EQ(vm_.commit_cost(txn_), FasTm::kFlashCommit);
 }
 
 }  // namespace

@@ -59,8 +59,8 @@ TEST_F(LogTmTest, EveryEighthEntryCostsNewLogLine) {
     if (i == 0) with_line = act.extra;  // entry 1 opens the first line
     if (i == 1) base = act.extra;
   }
-  EXPECT_EQ(with_line, params_.log_store_extra + params_.log_new_line_extra);
-  EXPECT_EQ(base, params_.log_store_extra);
+  EXPECT_EQ(with_line, kLogStoreExtra + kLogNewLineExtra);
+  EXPECT_EQ(base, kLogStoreExtra);
 }
 
 TEST_F(LogTmTest, AbortCostScalesWithLogSize) {
@@ -68,7 +68,7 @@ TEST_F(LogTmTest, AbortCostScalesWithLogSize) {
   for (int i = 0; i < 10; ++i) vm_.on_tx_store(txn_, 0x1000 + 8 * i);
   const Cycle full = vm_.abort_cost(txn_);
   EXPECT_EQ(empty, params_.abort_trap_latency);
-  EXPECT_EQ(full, params_.abort_trap_latency + 10 * params_.abort_per_entry);
+  EXPECT_EQ(full, params_.abort_trap_latency + 10 * kAbortPerEntry);
 }
 
 TEST_F(LogTmTest, AbortRestoresOldValuesNewestFirst) {

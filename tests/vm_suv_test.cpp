@@ -79,7 +79,7 @@ TEST_F(SuvVmTest, AbortRevertsWithoutDataMovement) {
 
 TEST_F(SuvVmTest, AbortCostConstantRegardlessOfWriteSet) {
   for (int i = 0; i < 100; ++i) store(txn_, 0x1000 + 64 * i, i);
-  EXPECT_EQ(vm_.abort_cost(txn_), params_.flash_abort);
+  EXPECT_EQ(vm_.abort_cost(txn_), SuvVm::kFlashAbort);
 }
 
 TEST_F(SuvVmTest, SecondStoreToSameLineReusesEntry) {
@@ -153,14 +153,14 @@ TEST_F(SuvVmTest, ToggledLineReusableAfterDeletion) {
 
 TEST_F(SuvVmTest, CommitCostConstantWithinTableCapacity) {
   for (int i = 0; i < 100; ++i) store(txn_, 0x10000 + 64 * i, i);
-  EXPECT_EQ(vm_.commit_cost(txn_), params_.flash_commit);
+  EXPECT_EQ(vm_.commit_cost(txn_), SuvVm::kFlashCommit);
 }
 
 TEST_F(SuvVmTest, TableOverflowRaisesCommitCost) {
   for (std::uint32_t i = 0; i < params_.l1_table_entries + 10; ++i) {
     store(txn_, 0x100000 + static_cast<Addr>(64) * i, i);
   }
-  EXPECT_GT(vm_.commit_cost(txn_), params_.flash_commit);
+  EXPECT_GT(vm_.commit_cost(txn_), SuvVm::kFlashCommit);
   EXPECT_EQ(vm_.suv_stats().table_overflow_txns, 1u);
 }
 
