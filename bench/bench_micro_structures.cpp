@@ -3,8 +3,9 @@
 // interleaved ABBA rounds, reported as the median over rounds with its min
 // and max) and written to BENCH_micro_structures.json.
 //   - calendar_vs_heap_speedup: the calendar-queue scheduler vs the
-//     binary-heap scheduler it replaced, on simulator-shaped event churn,
-//     on process CPU time. CI perf-smoke gates it at >= 2x.
+//     binary-heap scheduler it replaced, on simulator-shaped churn of
+//     Wakeable records, on process CPU time. CI perf-smoke gates it at
+//     >= 2x.
 //   - pdes_speedup_4threads: one 64-core 4-shard machine driven by 1 vs 4
 //     host threads, on wall time (DESIGN.md section 14). Every run's
 //     RunResult must equal a 1-thread reference run's (pdes_bit_identical).
@@ -46,39 +47,26 @@ using namespace suvtm;
 
 namespace {
 
-// The PR 5 scheduler, verbatim in shape: a hand-rolled binary min-heap of
-// (t, seq, slot) POD keys over a free-listed SmallFn slot pool. This is the
-// binary-heap baseline the calendar queue replaced -- the head-to-head the
-// CI perf-smoke job gates on.
+// The binary-heap scheduler the calendar queue replaced, in shape: a
+// hand-rolled min-heap of (t, seq, record) POD keys -- the head-to-head the
+// CI perf-smoke job gates on. Like the simulator's own events, its
+// payloads are Wakeable records.
 class BaselineHeapScheduler {
  public:
   Cycle now() const { return now_; }
 
-  void at(Cycle t, sim::SmallFn fn) {
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(std::move(fn));
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slots_[slot] = std::move(fn);
-    }
+  void wake_after(Cycle delay, sim::Wakeable& w) {
     heap_.emplace_back();  // reserve the hole; sift_up fills it
-    sift_up(heap_.size() - 1, Key{t, seq_++, slot});
+    sift_up(heap_.size() - 1, Key{now_ + delay, seq_++, &w});
   }
-
-  void after(Cycle delay, sim::SmallFn fn) { at(now_ + delay, std::move(fn)); }
 
   bool run(Cycle limit) {
     while (!heap_.empty()) {
       if (heap_.front().t > limit) return false;
       const Key k = pop_min();
-      sim::SmallFn fn = std::move(slots_[k.slot]);
-      free_slots_.push_back(k.slot);
       now_ = k.t;
       ++events_;
-      fn();
+      k.w->on_wake();
     }
     return true;
   }
@@ -89,7 +77,7 @@ class BaselineHeapScheduler {
   struct Key {
     Cycle t;
     std::uint64_t seq;
-    std::uint32_t slot;
+    sim::Wakeable* w;
 
     bool before(const Key& o) const {
       return t != o.t ? t < o.t : seq < o.seq;
@@ -130,35 +118,36 @@ class BaselineHeapScheduler {
   std::uint64_t seq_ = 0;
   std::uint64_t events_ = 0;
   std::vector<Key> heap_;
-  std::vector<sim::SmallFn> slots_;
-  std::vector<std::uint32_t> free_slots_;
 };
 
-// Simulator-shaped event churn: kChains self-rescheduling handlers (one per
-// simulated core plus mesh traffic) whose captures match the hot
-// [this, &aw, h] lambdas in ThreadContext (24 bytes).
+// Simulator-shaped event churn: kChains Wakeable records (one per
+// simulated core plus mesh traffic), each re-arming itself 1..8 cycles
+// ahead, as a core's retry and completion wakes do.
 template <class Sched>
 std::uint64_t scheduler_churn(std::uint64_t target_events) {
   Sched s;
   constexpr int kChains = 64;
   std::uint64_t processed = 0;
-  struct Chain {
+  struct Chain final : sim::Wakeable {
     Sched* s;
     std::uint64_t* processed;
     std::uint64_t limit;
     std::uint64_t x;
-    void operator()() {
+    Chain(Sched* sc, std::uint64_t* p, std::uint64_t l, std::uint64_t seed)
+        : s(sc), processed(p), limit(l), x(seed) {}
+    void on_wake() override {
       if (*processed >= limit) return;
       ++*processed;
       x = x * 6364136223846793005ull + 1442695040888963407ull;
-      s->after(1 + (x >> 61), Chain{*this});
+      s->wake_after(1 + (x >> 61), *this);
     }
   };
-  static_assert(sizeof(Chain) == 32, "capture should model the hot lambdas");
+  std::vector<Chain> chains;
+  chains.reserve(kChains);
   for (int i = 0; i < kChains; ++i) {
-    s.after(static_cast<Cycle>(i),
-            Chain{&s, &processed, target_events,
-                  0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(i)});
+    chains.emplace_back(&s, &processed, target_events,
+                        0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(i));
+    s.wake_after(static_cast<Cycle>(i), chains.back());
   }
   s.run(~Cycle{0});
   return processed;

@@ -9,14 +9,14 @@ namespace suvtm::htm {
 
 HtmSystem::HtmSystem(const sim::SimConfig& cfg, mem::MemorySystem& mem,
                      std::unique_ptr<VersionManager> vm)
-    : params_(cfg.htm), mem_(mem), vm_(std::move(vm)),
+    : mem_(mem), vm_(std::move(vm)),
       conflicts_(cfg.mem.num_cores, cfg.htm.conflict_policy,
                  cfg.htm.signature_bits, cfg.htm.signature_hashes),
       suspended_reads_(cfg.htm.signature_bits, cfg.htm.signature_hashes),
       suspended_writes_(cfg.htm.signature_bits, cfg.htm.signature_hashes) {
   txns_.reserve(cfg.mem.num_cores);
   for (CoreId c = 0; c < cfg.mem.num_cores; ++c) {
-    txns_.emplace_back(c, params_.signature_bits, params_.signature_hashes);
+    txns_.emplace_back(c, cfg.htm.signature_bits, cfg.htm.signature_hashes);
   }
   for (Txn& t : txns_) txn_view_.push_back(&t);
   vm_->attach(*this);

@@ -60,7 +60,6 @@ class HtmSystem {
   const ConflictManager& conflicts() const { return conflicts_; }
   mem::MemorySystem& mem() { return mem_; }
   const mem::MemorySystem& mem() const { return mem_; }
-  const sim::HtmParams& params() const { return params_; }
   std::uint32_t num_cores() const {
     return static_cast<std::uint32_t>(txns_.size());
   }
@@ -141,7 +140,6 @@ class HtmSystem {
   void release_commit_token(CoreId c);
 
  private:
-  sim::HtmParams params_;
   mem::MemorySystem& mem_;
   std::unique_ptr<VersionManager> vm_;
   ConflictManager conflicts_;

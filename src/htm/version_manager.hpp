@@ -84,13 +84,6 @@ class VersionManager {
   /// SUV's redirect table).
   virtual LoadAction resolve_load(CoreId core, Txn* txn, Addr a) = 0;
 
-  /// True when resolve_load is the identity action ({a, 0, 0, no buffer})
-  /// for EVERY access: in-place schemes (LogTM-SE, FasTM) never redirect or
-  /// buffer loads. The per-access hot path uses this to skip the virtual
-  /// resolution call entirely; schemes that redirect (SUV) or buffer (DynTM
-  /// lazy mode) leave it false.
-  bool loads_in_place() const { return loads_in_place_; }
-
   /// Transactional store bookkeeping: returns where the data goes and the
   /// extra cycles the scheme spends (log writes, redirection, ...). The
   /// functional old-value capture for rollback happens in here too.
@@ -144,7 +137,6 @@ class VersionManager {
   VmStats stats_;
   HtmSystem* htm_ = nullptr;
   obs::Recorder* obs_ = nullptr;
-  bool loads_in_place_ = false;  // subclasses opt in (see loads_in_place())
 };
 
 }  // namespace suvtm::htm

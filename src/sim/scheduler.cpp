@@ -10,6 +10,10 @@
 
 namespace suvtm::sim {
 
+Scheduler::~Scheduler() {
+  while (calls_ != nullptr) delete calls_;  // each record unlinks itself
+}
+
 void Scheduler::throw_scheduled_into_past(Cycle t) const {
   throw check::CheckFailure(
       "scheduler: event scheduled into the past (t=" + std::to_string(t) +

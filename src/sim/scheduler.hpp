@@ -23,12 +23,12 @@
 // carry smaller seqs than any event bucketed directly after the jump, so
 // FIFO order within a bucket *is* seq order.
 //
-// Events are one 64-bit payload each, tagged in the low two bits: a raw
-// coroutine handle (tag 0; the dominant resume_after case -- no SmallFn
-// construction, no type-erased call), a Wakeable record's address (tag 2;
-// a core's NACK retries, commit/abort completions), or (slot << 2) | 1 into
-// a free-listed SmallFn slot pool for external callbacks (tests, harnesses).
-// Simulator events never touch the slot pool.
+// Events are one 64-bit payload each, tagged in the low bit: a raw
+// coroutine handle (tag 0; the dominant resume_after case) or a Wakeable
+// record's address (tag 1; a core's NACK retries, commit/abort
+// completions). External callbacks (tests, harnesses) go through at(),
+// which wraps each callable in a heap-allocated Wakeable that the
+// scheduler owns until it runs. Simulator events never allocate one.
 //
 // Parked wakes leave the wheel. A parked Wakeable (see Park) would only
 // re-arm itself every `interval` cycles, so when a drain reaches one, or
@@ -69,12 +69,12 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "obs/obs.hpp"
-#include "sim/small_fn.hpp"
 
 namespace suvtm::sim {
 
@@ -141,40 +141,35 @@ class Scheduler {
   // Parked records point back at their scheduler.
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
+  /// Frees the at() callbacks still pending.
+  ~Scheduler();
 
   /// Current simulated time.
   Cycle now() const { return now_; }
 
-  /// Run `fn` at absolute cycle `t` (>= now): the general callback path,
-  /// for tests and external harnesses. The simulator's own events go through
-  /// resume_at and wake_at, which skip the slot pool.
-  void at(Cycle t, SmallFn fn) {
-    check_not_past(t);
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(std::move(fn));
-      // Keep the free list's capacity at least the pool size so the
-      // bucket-drain loop's push_back never allocates.
-      free_slots_.reserve(slots_.capacity());
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slots_[slot] = std::move(fn);
-    }
-    push(t, (static_cast<std::uint64_t>(slot) << 2) | kSlotTag);
+  /// Run `fn()` at absolute cycle `t` (>= now): the general callback path,
+  /// for tests and external harnesses. Each call allocates one record,
+  /// which frees itself (and `fn`) before `fn` runs; the simulator's own
+  /// events go through resume_at and wake_at, which allocate nothing.
+  template <class F>
+  void at(Cycle t, F&& fn) {
+    check_not_past(t);  // before the allocation
+    wake_at(t, *new Call<std::decay_t<F>>(calls_, std::forward<F>(fn)));
+    ++callbacks_;
   }
 
-  /// Run `fn` `delay` cycles from now.
-  void after(Cycle delay, SmallFn fn) { at(now_ + delay, std::move(fn)); }
+  /// Run `fn()` `delay` cycles from now.
+  template <class F>
+  void after(Cycle delay, F&& fn) {
+    at(now_ + delay, std::forward<F>(fn));
+  }
 
-  /// Resume a coroutine at absolute cycle `t`. Dedicated fast slot: the
-  /// handle rides in the event payload itself -- no SmallFn type erasure,
-  /// no slot-pool traffic.
+  /// Resume a coroutine at absolute cycle `t`: the handle rides in the
+  /// event payload itself.
   void resume_at(Cycle t, std::coroutine_handle<> h) {
     check_not_past(t);
     const auto payload = reinterpret_cast<std::uintptr_t>(h.address());
-    assert((payload & kTagMask) == 0 && "coroutine frames are 4-aligned");
+    assert((payload & kWakeTag) == 0 && "coroutine frames are 2-aligned");
     push(t, static_cast<std::uint64_t>(payload));
   }
 
@@ -184,11 +179,11 @@ class Scheduler {
   }
 
   /// Call `w.on_wake()` at absolute cycle `t`. Like resume_at, the record's
-  /// address rides in the payload: no slot-pool traffic.
+  /// address rides in the payload.
   void wake_at(Cycle t, Wakeable& w) {
     check_not_past(t);
     const auto payload = reinterpret_cast<std::uintptr_t>(&w);
-    assert((payload & kTagMask) == 0);
+    assert((payload & kWakeTag) == 0);
     // A parked record re-armed by a handler one interval ahead skips that
     // wake: it goes straight to its lane instead of the wheel.
     if (w.park.parked_ && in_run_ && t == now_ + interval_) [[unlikely]] {
@@ -221,11 +216,50 @@ class Scheduler {
   void set_obs(obs::Recorder* r) { obs_ = r; }
 
   // ---- introspection for tests and diagnostics -----------------------------
-  std::size_t slot_pool_capacity() const { return slots_.size(); }
+  /// at() callbacks scheduled so far.
+  std::uint64_t callbacks() const { return callbacks_; }
   std::size_t node_pool_size() const { return nodes_.size(); }
 
  private:
   friend class Park;
+
+  /// A pending at() callback: linked into its scheduler's list of live
+  /// records, so ~Scheduler frees those that never ran.
+  class CallLink : public Wakeable {
+   public:
+    explicit CallLink(CallLink*& head) : next_(head), prev_(&head) {
+      if (next_ != nullptr) next_->prev_ = &next_;
+      head = this;
+    }
+    CallLink(const CallLink&) = delete;
+    CallLink& operator=(const CallLink&) = delete;
+    virtual ~CallLink() {
+      *prev_ = next_;
+      if (next_ != nullptr) next_->prev_ = prev_;
+    }
+
+   private:
+    CallLink* next_;
+    CallLink** prev_;  // the link that points here
+  };
+
+  template <class F>
+  class Call final : public CallLink {
+   public:
+    template <class G>
+    Call(CallLink*& head, G&& fn) : CallLink(head), fn_(std::forward<G>(fn)) {}
+
+    /// The record is gone before `fn` runs, so `fn` may throw or schedule
+    /// more callbacks.
+    void on_wake() override {
+      F fn = std::move(fn_);
+      delete this;
+      fn();
+    }
+
+   private:
+    F fn_;
+  };
 
   /// Order keys: (push seq << kRankBits) | rank. A pushed event has rank 0;
   /// a lane entry's rank orders the parked wakes dispatched between the
@@ -285,11 +319,9 @@ class Scheduler {
     std::uint64_t run;
   };
 
-  /// Payload tags (low two bits); tag 0 is a coroutine handle.
-  static constexpr std::uint64_t kSlotTag = 1;
-  static constexpr std::uint64_t kWakeTag = 2;
-  static constexpr std::uint64_t kTagMask = 3;
-  static_assert(alignof(Wakeable) >= 4, "wake payloads need two tag bits");
+  /// Payload tag (low bit): set for a Wakeable, clear for a coroutine.
+  static constexpr std::uint64_t kWakeTag = 1;
+  static_assert(alignof(Wakeable) >= 2, "wake payloads need a tag bit");
 
   /// The schedule-into-the-past guard. The binary heap merely mis-ordered a
   /// past-time event; the wheel would silently mis-bucket it a whole window
@@ -348,41 +380,24 @@ class Scheduler {
   void push_overflow(const Key& k);
 
   // ---- parked lanes ----------------------------------------------------------
-  /// t mod interval, stepped from the previous call's phase: drains are
-  /// dense in time, so the step is usually less than an interval.
-  std::uint32_t phase(Cycle t) {
-    const Cycle d = t - phase_t_;
-    if (t < phase_t_) [[unlikely]] {
-      phase_ = static_cast<std::uint32_t>(t % interval_);
-    } else {
-      phase_ += static_cast<std::uint32_t>(d < interval_ ? d : d % interval_);
-      if (phase_ >= interval_) phase_ -= static_cast<std::uint32_t>(interval_);
-    }
-    phase_t_ = t;
-    return phase_;
+  /// The lane of cycle `t`.
+  std::uint32_t phase(Cycle t) const {
+    return static_cast<std::uint32_t>(t % interval_);
   }
   /// Dispatch one wheel node's event (a parked wake joins its lane).
   void dispatch(std::uint64_t payload) {
-    if ((payload & kTagMask) == 0) [[likely]] {
+    if ((payload & kWakeTag) == 0) [[likely]] {
       std::coroutine_handle<>::from_address(
           reinterpret_cast<void*>(static_cast<std::uintptr_t>(payload)))
           .resume();
-    } else if (payload & kWakeTag) {
+    } else {
       Wakeable* w = reinterpret_cast<Wakeable*>(
-          static_cast<std::uintptr_t>(payload & ~kTagMask));
+          static_cast<std::uintptr_t>(payload & ~kWakeTag));
       if (w->park.parked_) [[unlikely]] {
         join_lane(*w, /*pushed=*/false);
       } else {
         w->on_wake();
       }
-    } else {
-      const auto slot = static_cast<std::uint32_t>(payload >> 2);
-      // Move the callback out before running it: fn may schedule new
-      // events, which may reuse (and reassign) the freed slot.
-      SmallFn fn = std::move(slots_[slot]);
-      // lint: allow(growth-in-loop) -- capacity pre-reserved in at().
-      free_slots_.push_back(slot);
-      fn();
     }
   }
   /// Dispatch the head node of bucket `idx`, recycle it, and return the
@@ -538,8 +553,8 @@ class Scheduler {
   std::uint64_t occ_[kOccWords] = {};  // bit per non-empty bucket
   std::uint64_t occ_summary_ = 0;      // bit w set iff occ_[w] != 0
   std::vector<Key> overflow_;     // binary min-heap by (t, key)
-  std::vector<SmallFn> slots_;    // pending callbacks, indexed by payload>>2
-  std::vector<std::uint32_t> free_slots_;
+  CallLink* calls_ = nullptr;     // at() callbacks not yet run
+  std::uint64_t callbacks_ = 0;   // at() calls so far
 
   // ---- parked lanes ----------------------------------------------------------
   Cycle interval_ = 0;
@@ -551,8 +566,6 @@ class Scheduler {
   std::uint64_t rank_ = 0;        // lane keys handed out this drain
   std::vector<DrainSeq> drain_seq_;  // by phase: the last interval cycles
   std::uint64_t runs_ = 0;        // run() calls so far
-  Cycle phase_t_ = 0;             // phase() cache: a cycle and its phase
-  std::uint32_t phase_ = 0;
 };
 
 inline void Park::unpark() {

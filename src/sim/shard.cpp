@@ -223,19 +223,12 @@ void ShardRuntime::process_remote(std::uint32_t to, const RemoteMsg& m) {
     return;
   }
 
-  auto& vm = own.htm->vm();
-  Addr target = m.addr;
-  Cycle extra = 0;
-  Cycle extra_if_l1_hit = 0;
-  if (!vm.loads_in_place()) {
-    const htm::LoadAction act = vm.resolve_load(m.core, nullptr, m.addr);
-    target = act.target;
-    extra = act.extra;
-    extra_if_l1_hit = act.extra_if_l1_hit;
-  }
-  const mem::AccessOutcome out = own.mem->access(m.core, target, false);
-  m.aw->value = own.mem->load_word(target);
-  const Cycle lat = out.latency + extra + (out.l1_hit ? extra_if_l1_hit : 0);
+  const htm::LoadAction act =
+      own.htm->vm().resolve_load(m.core, nullptr, m.addr);
+  const mem::AccessOutcome out = own.mem->access(m.core, act.target, false);
+  m.aw->value = own.mem->load_word(act.target);
+  const Cycle lat =
+      out.latency + act.extra + (out.l1_hit ? act.extra_if_l1_hit : 0);
 
   // Conservative timing: the request is charged as if it reached the owner
   // exactly at the boundary (one hop there), was serviced, and travelled

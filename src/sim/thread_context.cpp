@@ -204,26 +204,22 @@ void ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
       // An RMW claims exclusive ownership now; the upcoming store to this
       // line will not need a second coherence round or an upgrade.
       if (aw.rmw) htm_.note_write(t, line);
-      // In-place schemes resolve every load to the identity action; skip
-      // the virtual dispatch on this per-access path.
-      if (!vm.loads_in_place()) {
-        const htm::LoadAction act = vm.resolve_load(core_, &t, aw.addr);
-        if (act.buffered) {
-          // Served from the lazy redo buffer: an L1-speed private access.
-          aw.value = *act.buffered;
-          SUVTM_CHECK_HOOK(checker_,
-                           on_read(core_, true, word, aw.value, sched_.now()));
-          const Cycle lat = mem::MemorySystem::kL1Latency + act.extra;
-          attempt_.add_trans(lat);
-          sched_.resume_after(lat, h);
-          return;
-        }
-        target = act.target;
-        extra = act.extra;
-        extra_if_l1_hit = act.extra_if_l1_hit;
+      const htm::LoadAction act = vm.resolve_load(core_, &t, aw.addr);
+      if (act.buffered) {
+        // Served from the lazy redo buffer: an L1-speed private access.
+        aw.value = *act.buffered;
+        SUVTM_CHECK_HOOK(checker_,
+                         on_read(core_, true, word, aw.value, sched_.now()));
+        const Cycle lat = mem::MemorySystem::kL1Latency + act.extra;
+        attempt_.add_trans(lat);
+        sched_.resume_after(lat, h);
+        return;
       }
+      target = act.target;
+      extra = act.extra;
+      extra_if_l1_hit = act.extra_if_l1_hit;
     }
-  } else if (!vm.loads_in_place()) {
+  } else {
     const htm::LoadAction act = vm.resolve_load(core_, nullptr, aw.addr);
     target = act.target;
     extra = act.extra;

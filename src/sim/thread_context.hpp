@@ -63,9 +63,8 @@ class ThreadContext final : private Wakeable {
   /// through the window-boundary mailboxes.
   ThreadContext(CoreId core, Scheduler& sched, mem::MemorySystem& mem,
                 htm::HtmSystem& htm, Breakdown& breakdown,
-                std::uint64_t rng_seed, check::Checker* checker = nullptr,
-                obs::Recorder* obs = nullptr,
-                const RemotePort* port = nullptr);
+                std::uint64_t rng_seed, check::Checker* checker,
+                obs::Recorder* obs, const RemotePort* port);
   // Pending wake events hold the context's address.
   ThreadContext(const ThreadContext&) = delete;
   ThreadContext& operator=(const ThreadContext&) = delete;

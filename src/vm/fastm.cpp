@@ -48,7 +48,7 @@ Cycle FasTm::abort_cost(htm::Txn& txn) {
   const Cycle walked =
       static_cast<Cycle>(txn.undo.size() - txn.degen_undo_mark);
   SUVTM_OBS_HOOK(obs_, on_undo_walk(walked));
-  return kFlashAbort + params_.abort_trap_latency + kAbortPerEntry * walked;
+  return kFlashAbort + abort_trap_latency_ + kAbortPerEntry * walked;
 }
 
 void FasTm::on_abort_done(htm::Txn& txn) {
@@ -67,7 +67,7 @@ Cycle FasTm::partial_abort(htm::Txn& txn, std::size_t mark) {
     txn.degen_undo_mark = txn.undo.size();
   }
   return txn.degenerated
-             ? params_.abort_trap_latency / 2 +
+             ? abort_trap_latency_ / 2 +
                    kAbortPerEntry * static_cast<Cycle>(walked)
              : kFlashAbort;
 }

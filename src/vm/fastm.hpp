@@ -36,9 +36,7 @@ class FasTm final : public htm::VersionManager {
   static constexpr Cycle kFlashCommit = 4;  // flash-clear SM bits
 
   FasTm(const sim::HtmParams& p, mem::MemorySystem& mem)
-      : params_(p), mem_(mem) {
-    loads_in_place_ = true;  // resolve_load below is the identity action
-  }
+      : abort_trap_latency_(p.abort_trap_latency), mem_(mem) {}
 
   const char* name() const override { return "FasTM"; }
 
@@ -59,7 +57,7 @@ class FasTm final : public htm::VersionManager {
   const FasTmStats& fastm_stats() const { return fstats_; }
 
  private:
-  sim::HtmParams params_;
+  Cycle abort_trap_latency_;
   mem::MemorySystem& mem_;
   FasTmStats fstats_;
 };

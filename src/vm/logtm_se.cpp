@@ -55,7 +55,7 @@ Cycle LogTmSe::abort_cost(htm::Txn& txn) {
   // Trap into the software handler, then restore entries one by one; the
   // isolation window stays open throughout (repair pathology).
   SUVTM_OBS_HOOK(obs_, on_undo_walk(txn.undo.size()));
-  return params_.abort_trap_latency +
+  return abort_trap_latency_ +
          kAbortPerEntry * static_cast<Cycle>(txn.undo.size());
 }
 
@@ -67,7 +67,7 @@ void LogTmSe::on_abort_done(htm::Txn& txn) {
 Cycle LogTmSe::partial_abort(htm::Txn& txn, std::size_t mark) {
   // Walk only the innermost frame's undo entries, newest first.
   const std::size_t walked = pop_undo_to(txn, mark, mem_);
-  return params_.abort_trap_latency / 2 +
+  return abort_trap_latency_ / 2 +
          kAbortPerEntry * static_cast<Cycle>(walked);
 }
 

@@ -28,9 +28,7 @@ class LogTmSe final : public htm::VersionManager {
   static constexpr Cycle kFlashCommit = 4;
 
   LogTmSe(const sim::HtmParams& p, mem::MemorySystem& mem)
-      : params_(p), mem_(mem) {
-    loads_in_place_ = true;  // resolve_load below is the identity action
-  }
+      : abort_trap_latency_(p.abort_trap_latency), mem_(mem) {}
 
   const char* name() const override { return "LogTM-SE"; }
 
@@ -47,7 +45,7 @@ class LogTmSe final : public htm::VersionManager {
   Cycle partial_abort(htm::Txn& txn, std::size_t mark) override;
 
  private:
-  sim::HtmParams params_;
+  Cycle abort_trap_latency_;
   mem::MemorySystem& mem_;
 };
 

@@ -5,10 +5,11 @@
 //
 // The runs: bayes and yada at scale 0.05 under all five schemes, and one
 // 64-core 4-shard ShardedKv point at 1 and at 4 host threads. The same
-// runs also pin that simulator events never wait in the scheduler's
-// SmallFn slot pool, that each domain has at most one pending event per
-// core, and that NACK retries park (the constant predates parked retries,
-// so it also proves that skipping them leaves every result unchanged).
+// runs also pin that simulator events never take the scheduler's
+// allocating at() callback path, that each domain has at most one pending
+// event per core, and that NACK retries park (the constant predates parked
+// retries, so it also proves that skipping them leaves every result
+// unchanged).
 //
 // A second constant pins observability output the same way: the trace
 // events and every metrics scalar, histogram and series (the occupancy
@@ -121,14 +122,14 @@ sim::SimConfig base_cfg(sim::Scheme scheme, bool obs = false) {
   return cfg;
 }
 
-/// Simulator events never wait in the SmallFn slot pool, and a domain never
-/// has more than one bucketed event pending per core: its node pool holds
-/// at most that many plus the node held while its event dispatches.
+/// Simulator events never allocate an at() callback record, and a domain
+/// never has more than one bucketed event pending per core: its node pool
+/// holds at most that many plus the node held while its event dispatches.
 void expect_event_pools(sim::Simulator& sim, const std::string& what) {
   const std::size_t cores = sim.shard_map().cores_per_shard;
   for (std::uint32_t d = 0; d < sim.num_domains(); ++d) {
-    EXPECT_EQ(sim.scheduler(d).slot_pool_capacity(), 0u)
-        << what << " domain " << d << " queued a SmallFn callback";
+    EXPECT_EQ(sim.scheduler(d).callbacks(), 0u)
+        << what << " domain " << d << " scheduled an at() callback";
     EXPECT_LE(sim.scheduler(d).node_pool_size(), cores + 1)
         << what << " domain " << d << " had more than one event per core";
   }

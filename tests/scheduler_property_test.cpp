@@ -413,8 +413,7 @@ TEST(SchedulerPropertyTest, SchedulingIntoPastThrows) {
   EXPECT_TRUE(s.run(100));
   EXPECT_EQ(s.now(), 50u);
   EXPECT_THROW(s.at(10, [] {}), check::CheckFailure);
-  // Same guard on the coroutine path (the payload fast lane bypasses the
-  // slot pool but not the past-schedule check).
+  // Same guard on the coroutine path, which allocates no callback record.
   EXPECT_THROW(s.resume_at(10, std::coroutine_handle<>{}),
                check::CheckFailure);
 }

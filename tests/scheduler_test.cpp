@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -261,70 +263,82 @@ TEST(SchedulerParkTest, ParkedWakeSpillsThroughTheOverflowHeap) {
   EXPECT_EQ(s.events_processed(), 4u);
 }
 
-TEST(SmallFnTest, InvokesInlineCallable) {
-  int hits = 0;
-  SmallFn f([&hits] { ++hits; });
-  EXPECT_TRUE(static_cast<bool>(f));
-  f();
-  f();
-  EXPECT_EQ(hits, 2);
-}
+/// A move-only callable that counts its runs and the destruction of its
+/// live copy (a moved-from copy counts nothing).
+class Tally {
+ public:
+  Tally(int* runs, int* dtors) : runs_(runs), dtors_(dtors) {}
+  Tally(Tally&& o) noexcept
+      : runs_(o.runs_), dtors_(std::exchange(o.dtors_, nullptr)) {}
+  Tally& operator=(Tally&&) = delete;
+  ~Tally() {
+    if (dtors_ != nullptr) ++*dtors_;
+  }
+  void operator()() { ++*runs_; }
 
-TEST(SmallFnTest, MoveTransfersOwnership) {
-  int hits = 0;
-  SmallFn a([&hits] { ++hits; });
-  SmallFn b(std::move(a));
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  b();
-  EXPECT_EQ(hits, 1);
-  SmallFn c;
-  c = std::move(b);
-  c();
-  EXPECT_EQ(hits, 2);
-}
+ private:
+  int* runs_;
+  int* dtors_;
+};
+static_assert(!std::is_copy_constructible_v<Tally>);
 
-TEST(SmallFnTest, HeapFallbackForLargeCaptures) {
-  // Capture well past kInlineBytes to force the heap path.
-  struct Fat {
-    char pad[128] = {};
-    int value = 7;
-  } fat;
-  int seen = 0;
-  SmallFn f([fat, &seen] { seen = fat.value; });
-  SmallFn g(std::move(f));
-  g();
-  EXPECT_EQ(seen, 7);
-}
-
-TEST(SmallFnTest, DestroysCaptureExactlyOnce) {
-  struct Counter {
-    int* dtors;
-    explicit Counter(int* d) : dtors(d) {}
-    Counter(const Counter& o) = default;
-    Counter(Counter&& o) noexcept : dtors(o.dtors) { o.dtors = nullptr; }
-    ~Counter() {
-      if (dtors) ++*dtors;
-    }
-    void operator()() const {}
-  };
+TEST(SchedulerCallbackTest, PendingCallbacksDieWithTheirScheduler) {
+  int runs = 0;
   int dtors = 0;
   {
-    SmallFn f{Counter(&dtors)};
-    SmallFn g(std::move(f));
-    g();
+    Scheduler s;
+    s.at(10, Tally(&runs, &dtors));
+    s.at(1000, Tally(&runs, &dtors));
+    s.at(Scheduler::kWheelSize * 3, Tally(&runs, &dtors));  // overflow heap
+    EXPECT_FALSE(s.run(500));
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(dtors, 1);
+    EXPECT_EQ(s.pending(), 2u);
   }
-  EXPECT_EQ(dtors, 1);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(dtors, 3);  // each capture exactly once
 }
 
-TEST(SmallFnTest, AcceptsCopyableStdFunction) {
-  std::function<void()> fn;
+TEST(SchedulerCallbackTest, MoveOnlyCallableRuns) {
+  Scheduler s;
+  int runs = 0;
+  int dtors = 0;
+  s.at(5, Tally(&runs, &dtors));
+  s.after(5, [u = std::make_unique<int>(7), &runs] { runs += *u; });
+  EXPECT_TRUE(s.run(100));
+  EXPECT_EQ(runs, 8);
+  EXPECT_EQ(dtors, 1);
+  EXPECT_EQ(s.callbacks(), 2u);
+}
+
+TEST(SchedulerCallbackTest, ThrowingCallbackPropagatesAndLeaksNothing) {
+  int runs = 0;
+  int dtors = 0;
+  {
+    Scheduler s;
+    s.at(1, [t = Tally(&runs, &dtors)]() mutable {
+      t();
+      throw std::runtime_error("callback failed");
+    });
+    s.at(2, Tally(&runs, &dtors));
+    EXPECT_THROW(s.run(100), std::runtime_error);
+    EXPECT_EQ(s.now(), 1u);
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(dtors, 1);  // the thrower's capture died while unwinding
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(dtors, 2);
+}
+
+TEST(SchedulerCallbackTest, CopiedStdFunctionRuns) {
+  Scheduler s;
   int hits = 0;
-  fn = [&hits] { ++hits; };
-  SmallFn a(fn);  // copied in; scheduler_test's chain pattern relies on this
-  SmallFn b(fn);
-  a();
-  b();
+  const std::function<void()> fn = [&hits] { ++hits; };
+  s.at(1, fn);  // copied in, as the self-rescheduling chains above are
+  s.after(2, fn);
+  EXPECT_TRUE(s.run(100));
   EXPECT_EQ(hits, 2);
+  EXPECT_TRUE(static_cast<bool>(fn));
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ class StdFunctionRule(_StatementRegexRule):
     id = "std-function"
     severity = "error"
     doc = ("std::function on a hot path "
-           "(use a template parameter or sim::SmallFn)")
+           "(use a template parameter or a sim::Wakeable)")
     dirs = HOT_DIRS
     pattern = _STD_FUNCTION
 
